@@ -8,7 +8,6 @@ use mcgp_core::coarsen::contract;
 use mcgp_core::config::{MatchingScheme, PartitionConfig};
 use mcgp_core::fm2way::fm_refine_bisection;
 use mcgp_core::kway_refine::greedy_kway_refine;
-use mcgp_core::kway_refine_pq::pq_kway_refine;
 use mcgp_core::matching::match_graph;
 use mcgp_graph::generators::mrng_like;
 use mcgp_graph::synthetic;
@@ -51,12 +50,6 @@ fn main() {
         let mut a = start.clone();
         let mut pw = part_weights(&wg8, &a, 8);
         greedy_kway_refine(&wg8, &mut a, &mut pw, &model, 4, &mut rng)
-    });
-
-    b.run("micro/kway_refine_pq", "gain_ordered_8way", || {
-        let mut a = start.clone();
-        let mut pw = part_weights(&wg8, &a, 8);
-        pq_kway_refine(&wg8, &mut a, &mut pw, &model, 4)
     });
 
     let d = DistGraph::distribute(&wg8, 16);

@@ -11,7 +11,7 @@ use crate::config::PartitionConfig;
 use crate::matching::{match_graph, GraphMatching};
 use mcgp_graph::csr::Vertex;
 use mcgp_graph::{CheckLevel, Graph};
-use mcgp_runtime::phase::{counter_add, Counter};
+use mcgp_runtime::metrics::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
 use mcgp_runtime::span;
 

@@ -56,7 +56,7 @@ use crate::matching::{
 };
 use mcgp_graph::csr::Vertex;
 use mcgp_graph::Graph;
-use mcgp_runtime::phase::{counter_add, Counter};
+use mcgp_runtime::metrics::{counter_add, Counter};
 use mcgp_runtime::pool::{self, exclusive_prefix_sum, stripe_bounds, zip_map};
 use mcgp_runtime::rng::{Rng, SliceRandom};
 use mcgp_runtime::event;

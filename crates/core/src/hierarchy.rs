@@ -25,7 +25,7 @@ use crate::config::PartitionConfig;
 use crate::kway::{check_levels, initial_and_refine};
 use crate::PartitionResult;
 use mcgp_graph::Graph;
-use mcgp_runtime::phase::{timed, Phase};
+use mcgp_runtime::metrics::{timed, Phase};
 use mcgp_runtime::rng::Rng;
 use mcgp_runtime::span;
 

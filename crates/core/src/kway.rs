@@ -13,7 +13,7 @@ use crate::PartitionResult;
 use crate::balance::imbalances_from_pw;
 use mcgp_graph::check as gcheck;
 use mcgp_graph::{CheckLevel, Graph};
-use mcgp_runtime::phase::{timed, Phase};
+use mcgp_runtime::metrics::{timed, Phase};
 use mcgp_runtime::{event, span};
 use mcgp_runtime::rng::Rng;
 

@@ -19,10 +19,10 @@
 use crate::balance::{apply_move, BalanceModel};
 use crate::boundary::RefineWorkspace;
 use mcgp_graph::Graph;
-use mcgp_runtime::phase::{counter_add, Counter};
+use mcgp_runtime::metrics::{counter_add, gauge_max, histogram_record, Counter, Gauge, Hist};
 use mcgp_runtime::rng::Rng;
 use mcgp_runtime::rng::SliceRandom;
-use mcgp_runtime::{metrics, span};
+use mcgp_runtime::span;
 
 /// Statistics of a k-way refinement call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,14 +158,14 @@ pub fn greedy_kway_refine_ws(
                 moved_this_iter += 1;
                 stats.gain += gain;
                 counter_add(Counter::MovesCommitted, 1);
-                metrics::histogram_record("kway_gain", gain);
+                histogram_record(Hist::KwayGain, gain);
             }
         }
         stats.moves += moved_this_iter;
         sp.record("boundary", boundary_this_iter);
         sp.record("moves_attempted", attempted_this_iter);
         sp.record("moves_committed", moved_this_iter);
-        metrics::gauge_set("boundary_size", boundary_this_iter as i64);
+        gauge_max(Gauge::BoundarySize, boundary_this_iter as i64);
         #[cfg(debug_assertions)]
         if let Err(e) = engine.validate(graph, assignment) {
             panic!("boundary cache drifted after pass {pass}: {e}");

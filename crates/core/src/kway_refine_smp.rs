@@ -63,10 +63,10 @@ use crate::boundary::{BoundaryEngine, RefineWorkspace};
 use crate::kway_refine::{part_load, part_load_shifted, KwayRefineStats};
 use crate::matching::grant_beats;
 use mcgp_graph::Graph;
-use mcgp_runtime::phase::{counter_add, Counter};
+use mcgp_runtime::metrics::{counter_add, gauge_max, histogram_record, Counter, Gauge, Hist};
 use mcgp_runtime::pool::{self, stripe_bounds};
 use mcgp_runtime::rng::{Rng, SliceRandom};
-use mcgp_runtime::{metrics, span};
+use mcgp_runtime::span;
 
 /// Below this many vertices a level's refinement runs the serial sweep even
 /// at `nthreads > 1`: striping a tiny boundary costs more than it saves.
@@ -200,7 +200,7 @@ fn try_commit(
     apply_move(pw, graph.ncon(), graph.vwgt(v), a, b);
     engine.commit_move(graph, assignment, v, b);
     counter_add(Counter::MovesCommitted, 1);
-    metrics::histogram_record("kway_gain", gain);
+    histogram_record(Hist::KwayGain, gain);
     for &u in graph.neighbors(v) {
         let u = u as usize;
         if seen[u] != seen_epoch {
@@ -364,7 +364,7 @@ pub fn smp_kway_refine_ws(
         sp.record("blocked", blocked.len());
         sp.record("ripple", ri);
         sp.record("moves_committed", moved_this_iter);
-        metrics::gauge_set("boundary_size", boundary_this_iter as i64);
+        gauge_max(Gauge::BoundarySize, boundary_this_iter as i64);
         #[cfg(debug_assertions)]
         if let Err(e) = engine.validate(graph, assignment) {
             panic!("boundary cache drifted after smp pass {pass}: {e}");

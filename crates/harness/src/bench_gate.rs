@@ -419,9 +419,11 @@ pub fn rps_win(
     Ok(RpsWinReport { checks })
 }
 
-/// Parses a bench JSONL report into `name → row`, enforcing the same
-/// schema `mcgp bench-check` validates (so the gate never compares
-/// garbage). Duplicate bench names are an error: the gate would silently
+/// Parses a bench JSONL report into `name → row`, enforcing its schema so
+/// the gate never compares garbage: every line is an object with a
+/// non-empty `bench` name, a positive `samples` count, and finite
+/// `median_s`/`min_s`/`max_s` timings with `0 <= min_s <= median_s <=
+/// max_s`. Duplicate bench names are an error: the gate would silently
 /// compare only the last.
 pub fn parse_bench_file(text: &str, label: &str) -> Result<BTreeMap<String, BenchRow>, String> {
     let mut rows = BTreeMap::new();
@@ -434,6 +436,7 @@ pub fn parse_bench_file(text: &str, label: &str) -> Result<BTreeMap<String, Benc
         let name = json
             .get("bench")
             .and_then(|v| v.as_str())
+            .filter(|n| !n.is_empty())
             .ok_or_else(|| format!("{label}:{lineno}: missing string field `bench`"))?
             .to_string();
         let num = |key: &str| -> Result<f64, String> {
@@ -442,11 +445,12 @@ pub fn parse_bench_file(text: &str, label: &str) -> Result<BTreeMap<String, Benc
                 .filter(|v| v.is_finite())
                 .ok_or_else(|| format!("{label}:{lineno}: missing finite field `{key}`"))
         };
-        let median_s = num("median_s")?;
+        let (median_s, min_s, max_s) = (num("median_s")?, num("min_s")?, num("max_s")?);
         let samples = num("samples")? as u64;
-        if median_s < 0.0 || samples == 0 {
+        if samples == 0 || !(0.0 <= min_s && min_s <= median_s && median_s <= max_s) {
             return Err(format!(
-                "{label}:{lineno}: degenerate row (median {median_s}, samples {samples})"
+                "{label}:{lineno}: degenerate row (samples {samples}, \
+                 min {min_s} median {median_s} max {max_s})"
             ));
         }
         let rps = json.get("rps").and_then(|v| v.as_f64()).filter(|v| *v > 0.0);
@@ -612,6 +616,18 @@ mod tests {
         assert!(parse_bench_file("", "t").is_err(), "empty file");
         assert!(parse_bench_file("not json", "t").is_err());
         assert!(parse_bench_file("{\"bench\":\"a\"}", "t").is_err(), "missing fields");
+        let row = |name: &str, min: f64, median: f64, max: f64| {
+            format!(
+                "{{\"bench\":\"{name}\",\"samples\":3,\"median_s\":{median},\
+                 \"min_s\":{min},\"max_s\":{max}}}"
+            )
+        };
+        assert!(parse_bench_file(&row("a", 0.1, 0.2, 0.3), "t").is_ok());
+        assert!(parse_bench_file(&row("", 0.1, 0.2, 0.3), "t").is_err(), "empty name");
+        for (min, median, max) in [(0.3, 0.2, 0.4), (0.1, 0.5, 0.3), (-0.1, 0.2, 0.3)] {
+            let err = parse_bench_file(&row("a", min, median, max), "t").unwrap_err();
+            assert!(err.contains("degenerate"), "{err}");
+        }
         let dup = file(&[("a", 0.1, None), ("a", 0.2, None)]);
         assert!(parse_bench_file(&dup, "t").unwrap_err().contains("duplicate"));
         // Blank lines are fine.

@@ -10,7 +10,6 @@
 //! mcgp check <file.graph> [<file.part> <k>] [--tol <t>] [--level cheap|full]
 //! mcgp fuzz [--seed <s>] [--cases <n>]
 //! mcgp trace-check <trace-file> [--format jsonl|chrome|folded]
-//! mcgp bench-check <bench-jsonl-file>
 //! mcgp bench-gate <baseline-jsonl> <fresh-jsonl> [--tolerance <x>]
 //!                 [--noise-floor-ms <ms>] [--threads-win <prefix>[,..]]
 //!                 [--threads-win-tolerance <x>]
@@ -162,7 +161,6 @@ fn main() {
         "check" => run_check(&opts),
         "fuzz" => run_fuzz(&opts),
         "trace-check" => run_trace_check(&opts),
-        "bench-check" => run_bench_check(&opts),
         "bench-gate" => run_bench_gate(&opts),
         "serve" => run_serve(&opts),
         "serve-request" => run_serve_request(&opts),
@@ -422,7 +420,6 @@ fn run_partition(opts: &Opts) {
         .with_threads(threads);
     cfg.imbalance_tol = tol;
     if trace_file.is_some() {
-        let _ = mcgp_runtime::trace::take_local(); // clean slate for the event buffer
         mcgp_runtime::trace::set_enabled(true);
     }
     // The profiler is a pure observer: the partition below is
@@ -431,7 +428,7 @@ fn run_partition(opts: &Opts) {
     let profiler = profile_file
         .as_ref()
         .map(|_| mcgp_runtime::profile::Profiler::start(profile_hz));
-    let ((assignment, quality), report) = mcgp_runtime::phase::PhaseReport::capture(|| {
+    let ((assignment, quality), report) = mcgp_runtime::Ledger::capture(|| {
         match parallel {
             Some(p) => {
                 let mut pcfg = mcgp_parallel::ParallelConfig::new(p);
@@ -473,16 +470,14 @@ fn run_partition(opts: &Opts) {
     }
     if let Some(path) = &trace_file {
         mcgp_runtime::trace::set_enabled(false);
-        let events = mcgp_runtime::trace::take_local();
-        let metrics = mcgp_runtime::metrics::take_local();
-        mcgp_runtime::trace::write_trace_file(&events, trace_format, std::path::Path::new(path))
+        let events = &report.events;
+        mcgp_runtime::trace::write_trace_file(events, trace_format, std::path::Path::new(path))
             .unwrap_or_else(|e| {
                 eprintln!("failed to write trace {path}: {e}");
                 std::process::exit(1);
             });
         eprintln!("wrote {} trace events to {path}", events.len());
-        let m = mcgp_runtime::json::ToJson::to_json(&metrics);
-        eprintln!("metrics: {m}");
+        eprintln!("metrics: {}", report.registry_json());
     }
     let outfile = outfile.unwrap_or_else(|| format!("{}.part.{k}", file.replace(':', "_")));
     std::fs::File::create(&outfile)
@@ -557,70 +552,6 @@ fn run_trace_check(opts: &Opts) {
             std::process::exit(1);
         }
     }
-}
-
-/// Validates a `mcgp-bench` JSONL result file (e.g. `BENCH_refine.json`):
-/// one object per line with a `bench` name, a positive `samples` count, and
-/// `median_s`/`min_s`/`max_s` timings with `min_s <= median_s <= max_s`.
-/// Exits non-zero on any drift so CI catches harness format regressions.
-fn run_bench_check(opts: &Opts) {
-    let usage = "usage: mcgp bench-check <bench-jsonl-file>";
-    let Some(file) = opts.rest.first() else {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("failed to read {file}: {e}");
-        std::process::exit(1);
-    });
-    let fail = |line: usize, why: String| -> ! {
-        eprintln!("{file}:{line}: invalid bench record: {why}");
-        std::process::exit(1);
-    };
-    let mut records = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let json = mcgp_runtime::json::Json::parse(line)
-            .unwrap_or_else(|e| fail(lineno, format!("not JSON: {e:?}")));
-        let name = json
-            .get("bench")
-            .and_then(|v| v.as_str())
-            .unwrap_or_else(|| fail(lineno, "missing string field `bench`".to_string()));
-        if name.is_empty() {
-            fail(lineno, "empty `bench` name".to_string());
-        }
-        let samples = json
-            .get("samples")
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| fail(lineno, "missing numeric field `samples`".to_string()));
-        if samples < 1.0 {
-            fail(lineno, format!("non-positive `samples` {samples}"));
-        }
-        let num = |key: &str| -> f64 {
-            json.get(key)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| fail(lineno, format!("missing numeric field `{key}`")))
-        };
-        let (median, min, max) = (num("median_s"), num("min_s"), num("max_s"));
-        if !(min.is_finite() && median.is_finite() && max.is_finite()) {
-            fail(lineno, "non-finite timing".to_string());
-        }
-        if min < 0.0 || min > median || median > max {
-            fail(
-                lineno,
-                format!("timings out of order: min {min} median {median} max {max}"),
-            );
-        }
-        records += 1;
-    }
-    if records == 0 {
-        eprintln!("{file}: no bench records");
-        std::process::exit(1);
-    }
-    println!("{file}: ok, {records} bench records");
 }
 
 /// `mcgp bench-gate <baseline> <fresh>`: the regression gate. Prints a

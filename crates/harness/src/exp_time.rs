@@ -62,10 +62,10 @@ pub fn table2(mesh: &Graph, ks: &[usize], seed: u64) -> Vec<Table2Row> {
         .map(|&k| {
             // Each run captured separately: the row reports the p = k run's
             // tally only, and neither run leaks into the caller's tally.
-            let (serial, _) = mcgp_runtime::phase::PhaseReport::capture(|| {
+            let (serial, _) = mcgp_runtime::Ledger::capture(|| {
                 parallel_partition_kway(&wg, k, &ParallelConfig::new(1).with_seed(seed))
             });
-            let (par, phases) = mcgp_runtime::phase::PhaseReport::capture(|| {
+            let (par, phases) = mcgp_runtime::Ledger::capture(|| {
                 parallel_partition_kway(&wg, k, &ParallelConfig::new(k).with_seed(seed))
             });
             Table2Row {

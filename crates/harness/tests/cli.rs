@@ -266,9 +266,17 @@ fn trace_check_rejects_garbage() {
 }
 
 #[test]
-fn bench_check_accepts_good_and_rejects_drifted_records() {
+fn bench_gate_accepts_good_and_rejects_drifted_records() {
     let dir = std::env::temp_dir().join("mcgp_cli_bench");
     std::fs::create_dir_all(&dir).unwrap();
+    // A file validates by gating it against itself.
+    let gate_self = |path: &std::path::Path| {
+        let p = path.to_str().unwrap();
+        mcgp()
+            .args(["bench-gate", p, p])
+            .output()
+            .expect("run mcgp bench-gate")
+    };
 
     let good = dir.join("good.json");
     std::fs::write(
@@ -276,33 +284,24 @@ fn bench_check_accepts_good_and_rejects_drifted_records() {
         "{\"bench\":\"refine/smoke\",\"samples\":3,\"median_s\":0.2,\"min_s\":0.1,\"max_s\":0.3}\n",
     )
     .unwrap();
-    let out = mcgp()
-        .args(["bench-check", good.to_str().unwrap()])
-        .output()
-        .expect("run mcgp bench-check");
+    let out = gate_self(&good);
     assert!(
         out.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("1 bench records"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"verdict\":\"pass\""));
 
     // A record missing a timing field fails, as does an empty file.
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{\"bench\":\"x\",\"samples\":3,\"median_s\":0.2}\n").unwrap();
-    let out = mcgp()
-        .args(["bench-check", bad.to_str().unwrap()])
-        .output()
-        .expect("run mcgp bench-check");
+    let out = gate_self(&bad);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("min_s"));
 
     let empty = dir.join("empty.json");
     std::fs::write(&empty, "").unwrap();
-    let out = mcgp()
-        .args(["bench-check", empty.to_str().unwrap()])
-        .output()
-        .expect("run mcgp bench-check");
+    let out = gate_self(&empty);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no bench records"));
 }

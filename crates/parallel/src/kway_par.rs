@@ -207,7 +207,7 @@ pub fn parallel_partition_kway(
     // --- Parallel coarsening --------------------------------------------
     let target = (cfg.coarsen_to_per_part * nparts).max(cfg.serial.coarsen_target(nparts));
     let mut levels: Vec<DistLevel> = Vec::new();
-    mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Coarsen, || loop {
+    mcgp_runtime::metrics::timed(mcgp_runtime::metrics::Phase::Coarsen, || loop {
         let lvl = levels.len();
         let cur = levels.last().map_or(&finest, |l| &l.graph);
         if cur.nvtxs() <= target || lvl >= 64 {
@@ -222,7 +222,7 @@ pub fn parallel_partition_kway(
             &mut tracker,
         );
         if matching.coarse_nvtxs as f64 > 0.98 * cur.nvtxs() as f64 {
-            mcgp_runtime::phase::counter_add(mcgp_runtime::phase::Counter::ContractionAborts, 1);
+            mcgp_runtime::metrics::counter_add(mcgp_runtime::metrics::Counter::ContractionAborts, 1);
             sp.record("aborted", 1u64);
             break; // stall
         }
@@ -270,7 +270,7 @@ pub fn parallel_partition_kway(
 
     // --- Initial partitioning on the coarsest graph ----------------------
     let coarsest = levels.last().map_or(&finest, |l| &l.graph);
-    let mut part = mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Initial, || {
+    let mut part = mcgp_runtime::metrics::timed(mcgp_runtime::metrics::Phase::Initial, || {
         parallel_initial_partition(
             coarsest,
             nparts,
@@ -389,7 +389,7 @@ pub fn parallel_partition_kway(
             }
         };
 
-    mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Refine, || {
+    mcgp_runtime::metrics::timed(mcgp_runtime::metrics::Phase::Refine, || {
         // Refine the coarsest level itself, then project down.
         refine_level(levels.len(), coarsest, &mut part, seed ^ 0xC0A0, &mut tracker);
         for lvl in (0..levels.len()).rev() {
@@ -432,7 +432,7 @@ pub fn parallel_partition_kway(
     // Final balance pass (still the refinement phase): the reservation
     // scheme's residual overshoot at the finest level is corrected here
     // (cheap — the overshoot is small).
-    mcgp_runtime::phase::timed(mcgp_runtime::phase::Phase::Refine, || {
+    mcgp_runtime::metrics::timed(mcgp_runtime::metrics::Phase::Refine, || {
         let model = BalanceModel::from_parts(
             finest.ncon(),
             nparts,

@@ -202,8 +202,8 @@ pub fn parallel_match(
         }
         // Proposals that lost arbitration (or raced a previous grant) are
         // the protocol's conflicts — the driver of slow coarsening.
-        mcgp_runtime::phase::counter_add(
-            mcgp_runtime::phase::Counter::MatchConflicts,
+        mcgp_runtime::metrics::counter_add(
+            mcgp_runtime::metrics::Counter::MatchConflicts,
             (proposals.len() - grants.len()) as u64,
         );
         mcgp_runtime::event!(
@@ -266,8 +266,8 @@ pub fn parallel_match(
         .enumerate()
         .filter(|&(v, &m)| (m as usize) > v)
         .count();
-    mcgp_runtime::phase::counter_add(
-        mcgp_runtime::phase::Counter::VerticesMatched,
+    mcgp_runtime::metrics::counter_add(
+        mcgp_runtime::metrics::Counter::VerticesMatched,
         2 * pairs as u64,
     );
     ParallelMatching {

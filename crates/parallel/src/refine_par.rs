@@ -40,6 +40,7 @@ use crate::boundary_par::{CommittedMove, ProcBoundary};
 use crate::cost::CostTracker;
 use crate::dist::DistGraph;
 use mcgp_core::balance::BalanceModel;
+use mcgp_runtime::metrics::{counter_add, Counter};
 use mcgp_runtime::rng::Rng;
 
 /// Statistics of one refinement call (one level).
@@ -303,8 +304,8 @@ pub fn reservation_refine(
             granted = committed.len(),
             withheld = proposed - committed.len(),
         );
-        mcgp_runtime::metrics::counter_add("reservation_grants", committed.len() as u64);
-        mcgp_runtime::metrics::counter_add("reservation_withholds", (proposed - committed.len()) as u64);
+        counter_add(Counter::ReservationGrants, committed.len() as u64);
+        counter_add(Counter::ReservationWithholds, (proposed - committed.len()) as u64);
         if std::env::var_os("MCGP_DEBUG_REFINE").is_some() {
             eprintln!(
                 "    iter {iter} ({}): committed {} disallowed so far {}",

@@ -7,7 +7,7 @@
 //! crates.io, and the partitioner must own the runtime behaviours its
 //! results depend on.
 //!
-//! Six modules:
+//! Seven modules:
 //!
 //! * [`rng`] — a seedable deterministic PRNG (SplitMix64-seeded
 //!   xoshiro256++). Same seed ⇒ bit-identical stream on every platform,
@@ -17,16 +17,14 @@
 //!   in index order, so parallel execution never perturbs determinism.
 //! * [`json`] — a minimal JSON value type with writer and parser, enough
 //!   for the experiment JSONL records and config round-trips.
-//! * [`phase`] — wall-clock phase timers and monotonic counters
-//!   (coarsening/initial/refinement time, moves attempted/committed,
-//!   matching conflicts) collected thread-locally and merged across
-//!   [`pool`] workers. Always on: a fixed-size array tally.
+//! * [`metrics`] — the observability ledger: phase timers, counters,
+//!   gauges and histograms declared as dense enums, plus trace events, in
+//!   one thread-local merged across [`pool`] workers. Tallies are always
+//!   on (an array index per record); Prometheus exposition lives here too.
 //! * [`trace`] — structured tracing: scoped spans ([`span!`]) and typed
-//!   instant events ([`event!`]), exportable as JSONL or Chrome
-//!   trace-event JSON. Off by default; near-zero cost when off.
-//! * [`metrics`] — a named counter/gauge/histogram registry for the
-//!   open-ended metrics tracing wants (gain distributions, boundary
-//!   sizes), active only while tracing is enabled.
+//!   instant events ([`event!`]) appended to the ledger, exportable as
+//!   JSONL or Chrome trace-event JSON. Off by default; near-zero cost when
+//!   off.
 //! * [`profile`] — a span-stack sampling profiler: spans publish to
 //!   lock-free per-thread slots, a sampler thread tallies collapsed
 //!   stacks (Brendan Gregg `a;b;c 42` format). Off by default; one
@@ -38,15 +36,13 @@
 pub mod json;
 pub mod metrics;
 pub mod net;
-pub mod phase;
 pub mod pool;
 pub mod profile;
 pub mod rng;
 pub mod trace;
 
 pub use json::{Json, ToJson};
-pub use metrics::{Histogram, MetricsReport, WindowedHistogram};
-pub use phase::{Counter, Phase, PhaseReport};
+pub use metrics::{Counter, Gauge, Hist, Histogram, Ledger, Phase, WindowedHistogram};
 pub use profile::{CollapsedStacks, Profiler};
 pub use rng::{Rng, SliceRandom};
 pub use trace::{FieldValue, Span, TraceEvent, TraceFormat};

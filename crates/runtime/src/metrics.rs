@@ -1,21 +1,34 @@
-//! Named metrics registry: counters, gauges, and log₂-bucket histograms.
+//! The observability ledger: phase timers, counters, gauges, log₂-bucket
+//! histograms and trace events, kept in one thread-local.
 //!
-//! [`crate::phase`] keeps a deliberately tiny fixed-size tally (an array
-//! indexed by enum) because it is always on; this module is the open-ended
-//! companion for metrics that only matter when someone is looking — gain
-//! distributions, boundary sizes, per-round conflict counts. Registration
-//! is implicit (first use of a name creates the metric), names are
-//! `&'static str` so the registry never allocates keys, and everything is
-//! gated on [`crate::trace::enabled`] so the default path stays free.
+//! Multilevel partitioning has a natural phase structure (coarsen →
+//! initial → refine), and both the paper's tables and day-to-day
+//! performance work need the per-phase wall-time split plus a handful of
+//! behavioural tallies (moves attempted/committed, matching conflicts,
+//! refinement gains, boundary sizes). Threading a stats object through
+//! every call signature would make instrumentation the most invasive part
+//! of the codebase, so everything lands in one thread-local [`Ledger`]:
+//! leaf code calls [`counter_add`] / [`timed`] / [`histogram_record`] with
+//! no plumbing, drivers scope a run with [`Ledger::capture`], and
+//! [`crate::pool`] merges worker ledgers back into the caller in a fixed
+//! order so parallel regions stay observable and deterministic.
 //!
-//! Like the phase tally and trace buffer, metrics accumulate in a
-//! thread-local and are merged across [`crate::pool`] workers. Merge rules
-//! keep reports deterministic under any thread count: counters and
-//! histograms add, gauges take the maximum.
+//! Every metric is a variant of a dense enum declared with `tally_enum!`,
+//! so recording is an array index — cheap enough to be always on. Only
+//! trace events are gated: the tracer appends them to the ledger while
+//! [`crate::trace::enabled`] holds. Merge rules keep reports identical
+//! under any thread count: times, counters and histograms add, gauges take
+//! the maximum, events append in merge order.
+//!
+//! The rest of the module renders what the ledger and the daemon hold:
+//! windowed histograms for steady-state quantiles and Prometheus text
+//! exposition with a grammar validator.
 
 use crate::json::{Json, ToJson};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::mem::ManuallyDrop;
+use std::time::{Duration, Instant};
 
 /// Number of histogram buckets: negatives, zero, then 32 log₂ magnitude
 /// buckets (`[2^k, 2^(k+1))`).
@@ -42,13 +55,7 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: [0; HIST_BUCKETS],
-        }
+        Self::EMPTY
     }
 }
 
@@ -64,6 +71,15 @@ pub fn bucket_of(v: i64) -> usize {
 }
 
 impl Histogram {
+    /// A histogram with no samples.
+    pub const EMPTY: Histogram = Histogram {
+        count: 0,
+        sum: 0,
+        min: 0,
+        max: 0,
+        buckets: [0; HIST_BUCKETS],
+    };
+
     /// Records one sample.
     pub fn record(&mut self, v: i64) {
         if self.count == 0 {
@@ -635,135 +651,300 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// A snapshot of one thread's (or one merged run's) named metrics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsReport {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+/// Declares a dense tally enum and its single source-of-truth name table.
+/// Variant order *is* the index (`repr(usize)`), so index and name can
+/// never drift apart the way hand-written `match` tables can.
+macro_rules! tally_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $Enum:ident {
+            $($(#[$vmeta:meta])* $Var:ident => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        $vis enum $Enum {
+            $($(#[$vmeta])* $Var,)+
+        }
+
+        impl $Enum {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$Enum] = &[$($Enum::$Var,)+];
+            /// Stable names, aligned with [`Self::ALL`].
+            pub const NAMES: &'static [&'static str] = &[$($name,)+];
+            /// Number of variants.
+            pub const COUNT: usize = Self::NAMES.len();
+
+            /// Dense index: declaration order.
+            #[inline]
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable name used in reports and JSON keys.
+            pub fn name(self) -> &'static str {
+                Self::NAMES[self as usize]
+            }
+        }
+    };
 }
 
-impl MetricsReport {
-    /// An empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when no metric has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Current value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Merges `other` in: counters and histograms add, gauges take the
-    /// maximum (deterministic under any worker interleaving).
-    pub fn merge(&mut self, other: &MetricsReport) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k).or_insert(*v);
-            *e = (*e).max(*v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
-        }
+tally_enum! {
+    /// A timed phase of a partitioning run.
+    pub enum Phase {
+        /// Coarsening: matching + contraction, all levels.
+        Coarsen => "coarsen",
+        /// Initial partitioning of the coarsest graph.
+        Initial => "initial",
+        /// Uncoarsening: projection + refinement + balancing, all levels.
+        Refine => "refine",
     }
 }
 
-impl ToJson for MetricsReport {
-    fn to_json(&self) -> Json {
-        let section = |pairs: Vec<(String, Json)>| Json::Obj(pairs);
+tally_enum! {
+    /// A monotonic behavioural counter.
+    pub enum Counter {
+        /// Refinement moves evaluated against the balance model.
+        MovesAttempted => "moves_attempted",
+        /// Refinement moves actually applied.
+        MovesCommitted => "moves_committed",
+        /// Parallel matching proposals that lost grant arbitration or were
+        /// withheld by the reservation scheme.
+        MatchConflicts => "match_conflicts",
+        /// Vertices paired by matching, summed over coarsening levels.
+        VerticesMatched => "vertices_matched",
+        /// Coarsening levels abandoned because contraction stalled.
+        ContractionAborts => "contraction_aborts",
+        /// Parallel refinement moves granted by the reservation scheme.
+        ReservationGrants => "reservation_grants",
+        /// Parallel refinement moves withheld by the reservation scheme.
+        ReservationWithholds => "reservation_withholds",
+    }
+}
+
+tally_enum! {
+    /// A high-water-mark gauge: the largest value recorded, on one thread
+    /// and across merges alike, so it is independent of the thread count.
+    pub enum Gauge {
+        /// Most boundary vertices scanned by one k-way refinement pass.
+        BoundarySize => "boundary_size",
+    }
+}
+
+tally_enum! {
+    /// A log₂-bucket histogram.
+    pub enum Hist {
+        /// Cut gain of every committed k-way refinement move.
+        KwayGain => "kway_gain",
+    }
+}
+
+/// Everything one thread (or one merged run) recorded: phase wall times,
+/// counters, gauges, histograms, and — only while tracing is enabled —
+/// trace events.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Ledger {
+    times_ns: [u64; Phase::COUNT],
+    counters: [u64; Counter::COUNT],
+    gauges: [Option<i64>; Gauge::COUNT],
+    histograms: [Histogram; Hist::COUNT],
+    /// Trace events in emission order (see [`crate::trace`]).
+    pub events: Vec<crate::trace::TraceEvent>,
+}
+
+impl Default for Ledger {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Ledger {
+    /// An empty ledger.
+    pub const fn new() -> Self {
+        Ledger {
+            times_ns: [0; Phase::COUNT],
+            counters: [0; Counter::COUNT],
+            gauges: [None; Gauge::COUNT],
+            histograms: [Histogram::EMPTY; Hist::COUNT],
+            events: Vec::new(),
+        }
+    }
+
+    /// Wall time attributed to `phase`, in seconds.
+    pub fn seconds(&self, phase: Phase) -> f64 {
+        self.times_ns[phase.index()] as f64 * 1e-9
+    }
+
+    /// Current value of `counter`.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter.index()]
+    }
+
+    /// Current value of `gauge` (`None` when never set).
+    pub fn gauge(&self, gauge: Gauge) -> Option<i64> {
+        self.gauges[gauge.index()]
+    }
+
+    /// The histogram `hist`.
+    pub fn histogram(&self, hist: Hist) -> &Histogram {
+        &self.histograms[hist.index()]
+    }
+
+    /// Merges `other` in: times, counters and histograms add, gauges take
+    /// the maximum, events append. Every rule is order-insensitive except
+    /// the event order, which callers fix by merging in a fixed order.
+    pub fn merge(&mut self, other: Ledger) {
+        for (a, b) in self.times_ns.iter_mut().zip(other.times_ns) {
+            *a += b;
+        }
+        for (a, b) in self.counters.iter_mut().zip(other.counters) {
+            *a += b;
+        }
+        for (a, b) in self.gauges.iter_mut().zip(other.gauges) {
+            *a = (*a).max(b);
+        }
+        for (a, b) in self.histograms.iter_mut().zip(&other.histograms) {
+            a.merge(b);
+        }
+        self.events.extend(other.events);
+    }
+
+    /// One-line human-readable summary, e.g.
+    /// `coarsen 0.012s | initial 0.003s | refine 0.020s | moves 812/1024 | conflicts 3 | matched 5820`.
+    pub fn render(&self) -> String {
+        format!(
+            "coarsen {:.3}s | initial {:.3}s | refine {:.3}s | moves {}/{} | conflicts {} | matched {}",
+            self.seconds(Phase::Coarsen),
+            self.seconds(Phase::Initial),
+            self.seconds(Phase::Refine),
+            self.counter(Counter::MovesCommitted),
+            self.counter(Counter::MovesAttempted),
+            self.counter(Counter::MatchConflicts),
+            self.counter(Counter::VerticesMatched),
+        )
+    }
+
+    /// Phase times (`<phase>_s`) followed by every counter.
+    pub fn phases_json(&self) -> Json {
+        let times = Phase::ALL
+            .iter()
+            .map(|&p| (format!("{}_s", p.name()), Json::Float(self.seconds(p))));
+        let counters = Counter::ALL
+            .iter()
+            .map(|&c| (c.name().to_string(), Json::UInt(self.counter(c))));
+        Json::Obj(times.chain(counters).collect())
+    }
+
+    /// `{"counters":…,"gauges":…,"histograms":…}`; gauges never set are
+    /// left out.
+    pub fn registry_json(&self) -> Json {
+        let counters = Counter::ALL
+            .iter()
+            .map(|&c| (c.name().to_string(), Json::UInt(self.counter(c))));
+        let gauges = Gauge::ALL
+            .iter()
+            .filter_map(|&g| Some((g.name().to_string(), Json::Int(self.gauge(g)?))));
+        let histograms = Hist::ALL
+            .iter()
+            .map(|&h| (h.name().to_string(), self.histogram(h).to_json()));
         Json::obj([
-            (
-                "counters",
-                section(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                section(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::Int(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                section(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| ((*k).to_string(), h.to_json()))
-                        .collect(),
-                ),
-            ),
+            ("counters", Json::Obj(counters.collect())),
+            ("gauges", Json::Obj(gauges.collect())),
+            ("histograms", Json::Obj(histograms.collect())),
         ])
+    }
+
+    /// Runs `f` against a clean thread-local ledger and returns `f`'s
+    /// result together with exactly what `f` recorded. The ledger held
+    /// beforehand is reinstated afterwards — also when `f` panics, in
+    /// which case `f`'s partial tally is discarded.
+    pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Ledger) {
+        struct Reinstate(Option<Ledger>);
+        impl Drop for Reinstate {
+            fn drop(&mut self) {
+                if let Some(prior) = self.0.take() {
+                    // Unwinding out of `f`: drop its partial tally.
+                    LOCAL.with(|l| *l.borrow_mut() = prior);
+                }
+            }
+        }
+        let mut guard = Reinstate(Some(take_local()));
+        let out = f();
+        let prior = guard.0.take().expect("prior ledger");
+        let ledger = LOCAL.with(|l| std::mem::replace(&mut *l.borrow_mut(), prior));
+        (out, ledger)
     }
 }
 
 thread_local! {
-    static LOCAL: RefCell<MetricsReport> = RefCell::new(MetricsReport::new());
+    // `ManuallyDrop`, so recording never registers a thread-exit
+    // destructor. The registration allocates while a partition is in
+    // flight on every recording thread, and on glibc that raised the
+    // daemon's peak RSS by about 10 % (serve-warm: every run in the upper
+    // of its two modes). Trace events are the only heap data a ledger
+    // owns; the pool and the daemon drain theirs before a thread exits.
+    static LOCAL: ManuallyDrop<RefCell<Ledger>> =
+        const { ManuallyDrop::new(RefCell::new(Ledger::new())) };
 }
 
-/// Adds `n` to the named counter (no-op unless tracing is enabled).
+/// Adds `n` to `counter` in the current thread's ledger.
 #[inline]
-pub fn counter_add(name: &'static str, n: u64) {
-    if n > 0 && crate::trace::enabled() {
-        LOCAL.with(|l| *l.borrow_mut().counters.entry(name).or_insert(0) += n);
+pub fn counter_add(counter: Counter, n: u64) {
+    if n > 0 {
+        LOCAL.with(|l| l.borrow_mut().counters[counter.index()] += n);
     }
 }
 
-/// Sets the named gauge; merges across threads by maximum (no-op unless
-/// tracing is enabled).
+/// Raises `gauge` in the current thread's ledger to at least `v`.
 #[inline]
-pub fn gauge_set(name: &'static str, v: i64) {
-    if crate::trace::enabled() {
-        LOCAL.with(|l| {
-            l.borrow_mut().gauges.insert(name, v);
-        });
-    }
+pub fn gauge_max(gauge: Gauge, v: i64) {
+    LOCAL.with(|l| {
+        let g = &mut l.borrow_mut().gauges[gauge.index()];
+        *g = (*g).max(Some(v));
+    });
 }
 
-/// Records a sample into the named histogram (no-op unless tracing is
-/// enabled).
+/// Records a sample into `hist` in the current thread's ledger.
 #[inline]
-pub fn histogram_record(name: &'static str, v: i64) {
-    if crate::trace::enabled() {
-        LOCAL.with(|l| l.borrow_mut().histograms.entry(name).or_default().record(v));
-    }
+pub fn histogram_record(hist: Hist, v: i64) {
+    LOCAL.with(|l| l.borrow_mut().histograms[hist.index()].record(v));
 }
 
-/// Drains and returns the current thread's metrics.
-pub fn take_local() -> MetricsReport {
+/// Adds an externally measured duration to `phase` in the current
+/// thread's ledger.
+pub fn time_add(phase: Phase, elapsed: Duration) {
+    LOCAL.with(|l| l.borrow_mut().times_ns[phase.index()] += elapsed.as_nanos() as u64);
+}
+
+/// Runs `f`, attributing its wall time to `phase`.
+pub fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    time_add(phase, start.elapsed());
+    out
+}
+
+/// Appends a trace event to the current thread's ledger (the tracer's
+/// sink; it checks [`crate::trace::enabled`] before calling).
+pub(crate) fn push_event(ev: crate::trace::TraceEvent) {
+    LOCAL.with(|l| l.borrow_mut().events.push(ev));
+}
+
+/// Drains only the events of the current thread's ledger.
+pub(crate) fn take_events() -> Vec<crate::trace::TraceEvent> {
+    LOCAL.with(|l| std::mem::take(&mut l.borrow_mut().events))
+}
+
+/// Drains and returns the current thread's ledger.
+pub fn take_local() -> Ledger {
     LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()))
 }
 
-/// Merges `report` into the current thread's metrics (used by the pool to
-/// forward worker registries).
-pub fn merge_local(report: &MetricsReport) {
-    if report.is_empty() {
-        return;
-    }
-    LOCAL.with(|l| l.borrow_mut().merge(report));
+/// Merges `ledger` into the current thread's ledger (the pool forwards
+/// worker ledgers this way, in a fixed order).
+pub fn merge_local(ledger: Ledger) {
+    LOCAL.with(|l| l.borrow_mut().merge(ledger));
 }
 
 #[cfg(test)]
@@ -803,33 +984,118 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_rules() {
-        let mut a = MetricsReport::new();
-        a.counters.insert("c", 2);
-        a.gauges.insert("g", 5);
-        let mut b = MetricsReport::new();
-        b.counters.insert("c", 3);
-        b.gauges.insert("g", 4);
-        b.histograms.insert("h", {
-            let mut h = Histogram::default();
-            h.record(7);
-            h
-        });
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.gauge("g"), Some(5), "gauges merge by max");
-        assert_eq!(a.histogram("h").unwrap().count, 1);
+    fn ledger_merge_rules() {
+        let _ = take_local();
+        counter_add(Counter::ReservationGrants, 2);
+        gauge_max(Gauge::BoundarySize, 5);
+        let mut a = take_local();
+        counter_add(Counter::ReservationGrants, 3);
+        gauge_max(Gauge::BoundarySize, 4);
+        histogram_record(Hist::KwayGain, 7);
+        a.merge(take_local());
+        assert_eq!(a.counter(Counter::ReservationGrants), 5);
+        assert_eq!(a.gauge(Gauge::BoundarySize), Some(5), "gauges merge by max");
+        gauge_max(Gauge::BoundarySize, 9);
+        gauge_max(Gauge::BoundarySize, 2);
+        assert_eq!(take_local().gauge(Gauge::BoundarySize), Some(9), "high-water");
+        assert_eq!(a.histogram(Hist::KwayGain).count, 1);
+        let mut empty = Ledger::new();
+        empty.merge(Ledger::new());
+        assert_eq!(empty.gauge(Gauge::BoundarySize), None);
     }
 
     #[test]
-    fn disabled_metrics_are_free() {
-        // Tracing defaults to off; nothing should land in the registry.
+    fn tallies_record_with_tracing_off() {
         let _g = crate::trace::test_lock();
         let _ = take_local();
-        counter_add("nope", 3);
-        gauge_set("nope", 1);
-        histogram_record("nope", 2);
-        assert!(take_local().is_empty());
+        counter_add(Counter::ReservationWithholds, 3);
+        gauge_max(Gauge::BoundarySize, 1);
+        histogram_record(Hist::KwayGain, 2);
+        crate::event!("dropped", x = 1u64);
+        let l = take_local();
+        assert_eq!(l.counter(Counter::ReservationWithholds), 3);
+        assert_eq!(l.gauge(Gauge::BoundarySize), Some(1));
+        assert_eq!(l.histogram(Hist::KwayGain).count, 1);
+        assert!(l.events.is_empty(), "events need tracing");
+    }
+
+    #[test]
+    fn timed_attributes_wall_time() {
+        let _ = take_local();
+        let out = timed(Phase::Coarsen, || {
+            std::thread::sleep(Duration::from_millis(5));
+            42
+        });
+        assert_eq!(out, 42);
+        let r = take_local();
+        let coarsen_s = r.seconds(Phase::Coarsen);
+        assert!(coarsen_s >= 0.004, "{coarsen_s}");
+        assert_eq!(r.seconds(Phase::Refine), 0.0);
+    }
+
+    #[test]
+    fn counters_accumulate_and_drain() {
+        let _ = take_local();
+        counter_add(Counter::MovesAttempted, 3);
+        counter_add(Counter::MovesAttempted, 2);
+        counter_add(Counter::MovesCommitted, 1);
+        let r = take_local();
+        assert_eq!(r.counter(Counter::MovesAttempted), 5);
+        assert_eq!(r.counter(Counter::MovesCommitted), 1);
+        // Drained: a second take sees a fresh ledger.
+        assert_eq!(take_local(), Ledger::new());
+    }
+
+    #[test]
+    fn capture_isolates_and_preserves_prior_tally() {
+        let _ = take_local();
+        counter_add(Counter::MovesCommitted, 11); // pre-existing activity
+        let (out, report) = Ledger::capture(|| {
+            counter_add(Counter::MovesAttempted, 4);
+            "done"
+        });
+        assert_eq!(out, "done");
+        assert_eq!(report.counter(Counter::MovesAttempted), 4);
+        assert_eq!(report.counter(Counter::MovesCommitted), 0, "prior leaked in");
+        let rest = take_local();
+        assert_eq!(rest.counter(Counter::MovesCommitted), 11, "prior lost");
+    }
+
+    #[test]
+    fn capture_reinstates_prior_tally_when_the_closure_panics() {
+        let _ = take_local();
+        counter_add(Counter::MovesCommitted, 11);
+        let caught = std::panic::catch_unwind(|| {
+            Ledger::capture(|| {
+                counter_add(Counter::MovesAttempted, 4);
+                histogram_record(Hist::KwayGain, 9);
+                panic!("partitioner bug");
+            })
+        });
+        assert!(caught.is_err());
+        let rest = take_local();
+        assert_eq!(rest.counter(Counter::MovesCommitted), 11, "prior lost");
+        assert_eq!(rest.counter(Counter::MovesAttempted), 0, "partial tally kept");
+        assert_eq!(rest.histogram(Hist::KwayGain).count, 0, "partial tally kept");
+    }
+
+    #[test]
+    fn enum_tables_are_aligned() {
+        for (i, &p) in Phase::ALL.iter().enumerate() {
+            assert_eq!((p.index(), p.name()), (i, Phase::NAMES[i]));
+        }
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!((c.index(), c.name()), (i, Counter::NAMES[i]));
+        }
+        assert_eq!(Counter::COUNT, 7);
+    }
+
+    #[test]
+    fn render_mentions_every_phase() {
+        let s = Ledger::new().render();
+        for key in ["coarsen", "initial", "refine", "moves", "conflicts"] {
+            assert!(s.contains(key), "{s}");
+        }
     }
 
     #[test]
@@ -929,15 +1195,16 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let mut r = MetricsReport::new();
-        r.counters.insert("moves", 7);
-        r.histograms.insert("gain", {
-            let mut h = Histogram::default();
-            h.record(3);
-            h
-        });
-        let s = r.to_json().to_string();
-        assert!(s.contains("\"counters\":{\"moves\":7}"), "{s}");
-        assert!(s.contains("\"gain\":{\"count\":1"), "{s}");
+        let _ = take_local();
+        counter_add(Counter::MatchConflicts, 7);
+        histogram_record(Hist::KwayGain, 3);
+        let l = take_local();
+        let phases = l.phases_json().to_string();
+        assert!(phases.contains("\"coarsen_s\":"), "{phases}");
+        assert!(phases.contains("\"match_conflicts\":7"), "{phases}");
+        let registry = l.registry_json().to_string();
+        assert!(registry.contains("\"reservation_grants\":0"), "{registry}");
+        assert!(registry.contains("\"gauges\":{}"), "{registry}");
+        assert!(registry.contains("\"kway_gain\":{\"count\":1"), "{registry}");
     }
 }

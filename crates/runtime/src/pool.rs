@@ -5,9 +5,9 @@
 //! so that parallel execution never changes the result. [`map`] and
 //! [`for_each`] provide exactly that: work units are claimed from a shared
 //! atomic counter (so uneven units balance), results land in their own
-//! slot, and [`crate::phase`] counters incremented on worker threads are
-//! merged back into the caller's thread-local tally — instrumented code
-//! deep inside a work unit needs no plumbing to stay observable.
+//! slot, and the [`crate::metrics`] ledger each worker thread filled is
+//! merged back into the caller's ledger — instrumented code deep inside a
+//! work unit needs no plumbing to stay observable.
 //!
 //! Thread count: `min(available_parallelism, units)`, overridable with the
 //! `MCGP_THREADS` environment variable (`MCGP_THREADS=1` forces serial
@@ -33,6 +33,7 @@
 //! have. Spawning decisions never affect results: `join` always returns
 //! `(a(), b())` and merges thread-local tallies in that fixed order.
 
+use crate::metrics::Ledger;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Live pool worker threads across the whole process (spawned by [`map`],
@@ -90,12 +91,15 @@ pub fn live_workers() -> usize {
     LIVE_WORKERS.load(Ordering::Relaxed)
 }
 
-/// Everything a worker thread's thread-locals accumulated during its share
-/// of a parallel region.
-struct WorkerReport {
-    phase: crate::phase::PhaseReport,
-    events: Vec<crate::trace::TraceEvent>,
-    metrics: crate::metrics::MetricsReport,
+/// Runs `f` as the body of a freshly spawned worker thread: adopts the
+/// spawner's profiler stack `prefix` (so samples taken on the worker are
+/// attributed under the span that dispatched the region), then returns
+/// `f`'s result with the worker's ledger — a fresh thread's ledger holds
+/// exactly what `f` recorded. Callers merge the ledgers in a fixed order.
+fn on_worker<T>(prefix: &[u32], f: impl FnOnce() -> T) -> (T, Ledger) {
+    let _pg = crate::profile::adopt_stack(prefix);
+    let out = f();
+    (out, crate::metrics::take_local())
 }
 
 /// Number of worker threads a parallel region will use for `units` work
@@ -104,13 +108,7 @@ struct WorkerReport {
 /// hardware — determinism never depends on the physical thread count, only
 /// on the unit count, so this is purely a scheduling choice).
 pub fn threads_for(units: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cap = std::env::var("MCGP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
-    cap.min(units).max(1)
+    worker_cap().min(units).max(1)
 }
 
 /// Applies `f` to every index in `0..n` on the pool and returns the
@@ -133,12 +131,9 @@ where
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    // Workers adopt the spawning thread's published span stack as a
-    // prefix, so profiler samples taken on a worker attribute its time
-    // under the span that dispatched the parallel region.
     let profile_prefix = crate::profile::current_stack_ids();
     let mut buckets: Vec<Vec<(usize, T)>> = Vec::new();
-    let mut reports: Vec<WorkerReport> = Vec::new();
+    let mut ledgers: Vec<Ledger> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..nthreads)
             .map(|w| {
@@ -146,52 +141,38 @@ where
                 let next = &next;
                 let profile_prefix = &profile_prefix;
                 scope.spawn(move || {
-                    let _pg = crate::profile::adopt_stack(profile_prefix);
-                    let start = std::time::Instant::now();
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+                    on_worker(profile_prefix, || {
+                        let start = std::time::Instant::now();
+                        let mut local: Vec<(usize, T)> = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            local.push((i, f(i)));
                         }
-                        local.push((i, f(i)));
-                    }
-                    if crate::trace::enabled() {
-                        // Per-worker timing: busy time and units claimed,
-                        // so a trace shows scheduling skew across workers.
+                        // Per-worker timing: busy time and units claimed, so
+                        // a trace shows scheduling skew across workers.
                         crate::event!(
                             "pool_worker",
                             worker = w,
                             units = local.len(),
                             busy_ns = start.elapsed().as_nanos() as u64,
                         );
-                    }
-                    // Fresh thread ⇒ its thread-locals hold exactly this
-                    // worker's increments, events, and metrics.
-                    (
-                        local,
-                        WorkerReport {
-                            phase: crate::phase::take_local(),
-                            events: crate::trace::take_local(),
-                            metrics: crate::metrics::take_local(),
-                        },
-                    )
+                        local
+                    })
                 })
             })
             .collect();
         for h in handles {
-            let (local, report) = h.join().expect("pool worker panicked");
+            let (local, ledger) = h.join().expect("pool worker panicked");
             buckets.push(local);
-            reports.push(report);
+            ledgers.push(ledger);
         }
     });
     // Workers are drained in spawn order, so the merged tallies (and the
     // relative order of forwarded trace events) do not depend on timing.
-    for r in reports {
-        crate::phase::merge_local(&r.phase);
-        crate::trace::merge_local(r.events);
-        crate::metrics::merge_local(&r.metrics);
-    }
+    ledgers.into_iter().for_each(crate::metrics::merge_local);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for (i, v) in buckets.into_iter().flatten() {
         slots[i] = Some(v);
@@ -216,9 +197,9 @@ where
 /// disjoint `&mut` chunk of a shared buffer without any unsafe aliasing
 /// (build the chunks with `split_at_mut`, move one tuple into each item).
 ///
-/// Thread-local phase counters, trace events, and metrics recorded inside
-/// `f` are merged back into the caller in item order, exactly as [`map`]
-/// does, so instrumented kernels stay observable and deterministic.
+/// Ledgers recorded inside `f` are merged back into the caller in item
+/// order, exactly as [`map`] does, so instrumented kernels stay
+/// observable and deterministic.
 pub fn zip_map<A, T, F>(items: Vec<A>, f: F) -> Vec<T>
 where
     A: Send,
@@ -239,7 +220,7 @@ where
     }
     let profile_prefix = crate::profile::current_stack_ids();
     let mut out: Vec<T> = Vec::with_capacity(n);
-    let mut reports: Vec<WorkerReport> = Vec::new();
+    let mut ledgers: Vec<Ledger> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .into_iter()
@@ -247,40 +228,25 @@ where
             .map(|(i, item)| {
                 let f = &f;
                 let profile_prefix = &profile_prefix;
-                scope.spawn(move || {
-                    let _pg = crate::profile::adopt_stack(profile_prefix);
-                    let v = f(i, item);
-                    (
-                        v,
-                        WorkerReport {
-                            phase: crate::phase::take_local(),
-                            events: crate::trace::take_local(),
-                            metrics: crate::metrics::take_local(),
-                        },
-                    )
-                })
+                scope.spawn(move || on_worker(profile_prefix, || f(i, item)))
             })
             .collect();
         for h in handles {
-            let (v, report) = h.join().expect("zip_map worker panicked");
+            let (v, ledger) = h.join().expect("zip_map worker panicked");
             out.push(v);
-            reports.push(report);
+            ledgers.push(ledger);
         }
     });
-    for r in reports {
-        crate::phase::merge_local(&r.phase);
-        crate::trace::merge_local(r.events);
-        crate::metrics::merge_local(&r.metrics);
-    }
+    ledgers.into_iter().for_each(crate::metrics::merge_local);
     out
 }
 
 /// Runs `a` and `b`, returning `(a(), b())`. When the process-wide worker
 /// budget has a free slot, `b` runs on a scoped thread concurrently with
 /// `a` on the caller; otherwise both run inline, in that order. The
-/// results — and the merge order of thread-local phase counters, trace
-/// events, and metrics (`a`'s first, then `b`'s) — are identical either
-/// way, so scheduling never perturbs output: this is the task-tree
+/// results — and the merge order of the thread-local ledgers (`a`'s
+/// first, then `b`'s) — are identical either way, so scheduling never
+/// perturbs output: this is the task-tree
 /// primitive recursive bisection uses to run the two halves of a split
 /// concurrently without breaking the `(seed, nthreads)` determinism
 /// contract.
@@ -305,38 +271,17 @@ where
         return (ra, rb);
     }
     let profile_prefix = crate::profile::current_stack_ids();
-    let mut rb_slot: Option<RB> = None;
-    let mut report: Option<WorkerReport> = None;
-    let ra = std::thread::scope(|scope| {
-        let h = {
-            let profile_prefix = &profile_prefix;
-            scope.spawn(move || {
-                let _pg = crate::profile::adopt_stack(profile_prefix);
-                let v = b();
-                (
-                    v,
-                    WorkerReport {
-                        phase: crate::phase::take_local(),
-                        events: crate::trace::take_local(),
-                        metrics: crate::metrics::take_local(),
-                    },
-                )
-            })
-        };
+    let (ra, (rb, ledger)) = std::thread::scope(|scope| {
+        let profile_prefix = &profile_prefix;
+        let h = scope.spawn(move || on_worker(profile_prefix, b));
         let ra = a();
-        let (v, rep) = h.join().expect("join worker panicked");
-        rb_slot = Some(v);
-        report = Some(rep);
-        ra
+        (ra, h.join().expect("join worker panicked"))
     });
     drop(budget);
-    // `a`'s tallies landed on the caller's thread-locals while it ran;
-    // merging `b`'s afterwards gives the same order as the inline path.
-    let rep = report.expect("join worker produced a report");
-    crate::phase::merge_local(&rep.phase);
-    crate::trace::merge_local(rep.events);
-    crate::metrics::merge_local(&rep.metrics);
-    (ra, rb_slot.expect("join worker produced a value"))
+    // `a`'s tallies landed on the caller's ledger while it ran; merging
+    // `b`'s afterwards gives the same order as the inline path.
+    crate::metrics::merge_local(ledger);
+    (ra, rb)
 }
 
 /// Boundaries of `stripes` near-equal contiguous stripes over `0..n`:
@@ -412,7 +357,7 @@ mod tests {
 
     #[test]
     fn worker_phase_counters_merge_into_caller() {
-        use crate::phase::{counter_add, take_local, Counter};
+        use crate::metrics::{counter_add, take_local, Counter};
         let _ = take_local(); // clean slate for this test thread
         for_each(40, |_| counter_add(Counter::MovesAttempted, 1));
         let report = take_local();
@@ -442,7 +387,7 @@ mod tests {
 
     #[test]
     fn zip_map_merges_worker_counters() {
-        use crate::phase::{counter_add, take_local, Counter};
+        use crate::metrics::{counter_add, take_local, Counter};
         let _ = take_local();
         zip_map((0..8).collect::<Vec<usize>>(), |_, v| {
             counter_add(Counter::MovesAttempted, v as u64)
@@ -458,7 +403,7 @@ mod tests {
 
     #[test]
     fn join_merges_worker_counters_like_inline() {
-        use crate::phase::{counter_add, take_local, Counter};
+        use crate::metrics::{counter_add, take_local, Counter};
         let _ = take_local();
         join(
             || counter_add(Counter::MovesAttempted, 3),

@@ -1,19 +1,21 @@
 //! Structured tracing: scoped spans and typed instant events, collected
 //! thread-locally and exportable as JSONL or Chrome trace-event JSON.
 //!
-//! [`crate::phase`] answers "how long did each phase take, in total"; this
-//! module answers "what happened, when, on which thread" — per-level vertex
-//! counts, per-pass move tallies, per-round conflict counts — at a
-//! resolution that can be replayed in a timeline viewer. The design rules:
+//! The [`crate::metrics`] ledger's tallies answer "how long did each phase
+//! take, how many moves, what gains, in total"; this module answers "what
+//! happened, when, on which thread" — per-level vertex counts, per-pass
+//! move tallies, per-round conflict counts — at a resolution that can be
+//! replayed in a timeline viewer. The design rules:
 //!
 //! * **Disabled by default, near-zero cost when off.** A single relaxed
 //!   atomic load ([`enabled`]) guards every emission; the [`span!`] and
 //!   [`event!`] macros do not even evaluate their field expressions when
 //!   tracing is off. Partitioning results are identical either way — the
 //!   tracer only observes.
-//! * **No plumbing.** Like the phase tally, events land in a thread-local
-//!   buffer; [`crate::pool`] forwards worker buffers to the caller, so leaf
-//!   code traces with no signature changes.
+//! * **No plumbing.** Events land in the same thread-local
+//!   [`crate::metrics::Ledger`] as every tally; [`crate::pool`] forwards
+//!   worker ledgers to the caller, so leaf code traces with no signature
+//!   changes.
 //! * **Deterministic content.** Event *payloads* are pure functions of the
 //!   input and seed; only timestamps and thread ids vary between runs, so
 //!   traces diff cleanly modulo timing fields.
@@ -27,7 +29,7 @@
 //! `mcgp trace-check` subcommand and CI).
 
 use crate::json::{Json, ToJson};
-use std::cell::RefCell;
+use crate::metrics::push_event;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +68,6 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    static EVENTS: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
 }
 
 /// This thread's stable trace id (dense, assigned on first use).
@@ -215,10 +216,6 @@ impl TraceEvent {
     }
 }
 
-fn push_event(ev: TraceEvent) {
-    EVENTS.with(|e| e.borrow_mut().push(ev));
-}
-
 /// Emits an instant event. Prefer the [`event!`] macro, which skips field
 /// construction when tracing is off.
 pub fn instant(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
@@ -347,18 +344,10 @@ macro_rules! event {
     };
 }
 
-/// Drains and returns the current thread's event buffer.
+/// Drains and returns the events of the current thread's ledger, leaving
+/// its tallies in place.
 pub fn take_local() -> Vec<TraceEvent> {
-    EVENTS.with(|e| std::mem::take(&mut *e.borrow_mut()))
-}
-
-/// Appends `events` to the current thread's buffer (used by the pool to
-/// forward worker buffers; events keep their original `tid`).
-pub fn merge_local(events: Vec<TraceEvent>) {
-    if events.is_empty() {
-        return;
-    }
-    EVENTS.with(|e| e.borrow_mut().extend(events));
+    crate::metrics::take_events()
 }
 
 /// Trace output format.
@@ -655,16 +644,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_local_preserves_foreign_tids() {
+    fn merged_ledgers_preserve_foreign_tids() {
         let ((), events) = with_tracing(|| {
-            let foreign = vec![TraceEvent {
+            let mut foreign = crate::metrics::Ledger::new();
+            foreign.events.push(TraceEvent {
                 ts_ns: 1,
                 tid: 999,
                 kind: EventKind::Instant,
                 name: "from_worker",
                 fields: vec![],
-            }];
-            merge_local(foreign);
+            });
+            crate::metrics::merge_local(foreign);
         });
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].tid, 999);

@@ -16,7 +16,7 @@
 //! `serve_mixed_*`, and the `serve_warm_keepalive_*` /
 //! `serve_warm_perconn_*` connection-reuse pair), each carrying the
 //! `bench`/`samples`/`median_s`/`min_s`/`max_s` fields `mcgp
-//! bench-check` validates plus `p50_s`/`p99_s` latency quantiles;
+//! bench-gate` validates plus `p50_s`/`p99_s` latency quantiles;
 //! throughput rows add `rps`.
 //!
 //! The steady-warm row means steady state: a warm sample lands in

@@ -24,9 +24,9 @@
 //!   (METIS text, or JSON-CSR under `Content-Type: application/json`).
 //!   Streams a JSONL body (`meta`, `part`×, `done`); cache verdict and
 //!   timings ride in `X-Mcgp-*` headers (see [`crate::protocol`]).
-//! - `GET /metrics` — counters, cache occupancy, latency histogram,
-//!   accumulated phase report, and the trace-gated named-metrics
-//!   registry, as one JSON object.
+//! - `GET /metrics` — counters, cache occupancy, latency histogram, and
+//!   the accumulated observability ledger (phase times plus the always-on
+//!   counters, gauges and histograms), as one JSON object.
 //! - `GET /healthz` — liveness probe.
 //! - `POST /shutdown` — graceful drain, same path as a signal.
 //!
@@ -46,11 +46,10 @@ use mcgp_core::{HierarchySnapshot, PartitionConfig, PartitionResult};
 use mcgp_graph::check::check_graph;
 use mcgp_graph::io::{graph_from_json, read_metis};
 use mcgp_graph::{CheckLevel, McgpError};
-use mcgp_runtime::metrics::{MetricsReport, PromWriter, WindowedHistogram};
+use mcgp_runtime::metrics::{self, Counter, Ledger, Phase, PromWriter, WindowedHistogram};
 use mcgp_runtime::net::{Conn, Limits, NetError, Request};
-use mcgp_runtime::phase::{Counter, Phase, PhaseReport};
 use mcgp_runtime::profile::Profiler;
-use mcgp_runtime::trace::{self, TraceEvent};
+use mcgp_runtime::trace::TraceEvent;
 use mcgp_runtime::{Json, ToJson};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -146,8 +145,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Always-on daemon counters (the trace-gated named-metrics registry is
-/// aggregated separately).
+/// Always-on daemon counters.
 struct ServeStats {
     requests: AtomicU64,
     ok: AtomicU64,
@@ -166,9 +164,9 @@ struct ServeStats {
     /// operators can see how much traffic actually exercises the parallel
     /// pipeline.
     by_threads: Mutex<BTreeMap<usize, u64>>,
-    phases: Mutex<PhaseReport>,
-    registry: Mutex<MetricsReport>,
-    trace_events: Mutex<Vec<TraceEvent>>,
+    /// Every worker's observability ledger, merged after each request;
+    /// its events stay capped at [`TRACE_EVENT_CAP`].
+    ledger: Mutex<Ledger>,
 }
 
 impl Default for ServeStats {
@@ -181,14 +179,21 @@ impl Default for ServeStats {
             latency_us: Mutex::new(WindowedHistogram::new(LATENCY_EPOCHS, LATENCY_EPOCH_LEN)),
             by_route: Mutex::new(BTreeMap::new()),
             by_threads: Mutex::new(BTreeMap::new()),
-            phases: Mutex::new(PhaseReport::default()),
-            registry: Mutex::new(MetricsReport::default()),
-            trace_events: Mutex::new(Vec::new()),
+            ledger: Mutex::new(Ledger::new()),
         }
     }
 }
 
 impl ServeStats {
+    /// Merges `local` into the daemon-wide ledger, retaining at most
+    /// [`TRACE_EVENT_CAP`] events.
+    fn absorb(&self, mut local: Ledger) {
+        let mut ledger = self.ledger.lock().unwrap();
+        let room = TRACE_EVENT_CAP.saturating_sub(ledger.events.len());
+        local.events.truncate(room);
+        ledger.merge(local);
+    }
+
     fn count_route(&self, route: &'static str, outcome: &'static str) {
         *self
             .by_route
@@ -271,13 +276,7 @@ impl ServerHandle {
     /// Drains trace events retained from traced requests (empty unless
     /// tracing is enabled).
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.state.trace_events_lock())
-    }
-}
-
-impl State {
-    fn trace_events_lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
-        self.stats.trace_events.lock().unwrap()
+        std::mem::take(&mut self.state.stats.ledger.lock().unwrap().events)
     }
 }
 
@@ -585,7 +584,7 @@ fn handle_profile(state: &State, conn: &mut Conn, req: &Request, keep: bool) -> 
 }
 
 /// Parse + validate + coarsen (through the cache) + partition. Runs on
-/// the worker thread inside a `PhaseReport::capture`, so coarsening time
+/// the worker thread inside a `Ledger::capture`, so coarsening time
 /// lands in the report exactly when this request paid for it.
 fn compute(
     state: &State,
@@ -659,10 +658,16 @@ fn handle_partition(state: &State, conn: &mut Conn, req: Request, t0: Instant, k
         threads = params.nthreads,
     );
     let computed = catch_unwind(AssertUnwindSafe(|| {
-        PhaseReport::capture(|| compute(state, fp, format, &req.body, &params))
+        Ledger::capture(|| compute(state, fp, format, &req.body, &params))
     }));
-    let (outcome, report) = match computed {
-        Ok(v) => v,
+    let (outcome, coarsen_us) = match computed {
+        Ok((outcome, report)) => {
+            // Per-request coarsening time feeds the header below; the
+            // whole ledger joins the daemon's before the response goes out.
+            let coarsen_us = (report.seconds(Phase::Coarsen) * 1e6).round() as u64;
+            state.stats.absorb(report);
+            (outcome, coarsen_us)
+        }
         Err(_) => {
             span.record("outcome", "panic");
             let err = RequestError::Internal(
@@ -677,8 +682,6 @@ fn handle_partition(state: &State, conn: &mut Conn, req: Request, t0: Instant, k
             finish_error(state, conn, &err)
         }
         Ok((entry, verdict, result)) => {
-            state.stats.phases.lock().unwrap().merge(&report);
-            let coarsen_us = (report.seconds(Phase::Coarsen) * 1e6).round() as u64;
             let total_us = t0.elapsed().as_micros() as u64;
             span.record("outcome", verdict.header_value());
             span.record("coarsen_us", coarsen_us);
@@ -749,22 +752,10 @@ fn write_success(
     rs.finish()
 }
 
-/// After each connection: forward this worker's trace-gated registries
-/// into the daemon-wide aggregates so `/metrics` sees them.
+/// After each request: merge whatever this worker recorded outside the
+/// partition capture (request span events) into the daemon-wide ledger.
 fn drain_observability(state: &State) {
-    if !trace::enabled() {
-        return;
-    }
-    let registry = mcgp_runtime::metrics::take_local();
-    if !registry.is_empty() {
-        state.stats.registry.lock().unwrap().merge(&registry);
-    }
-    let events = trace::take_local();
-    if !events.is_empty() {
-        let mut retained = state.stats.trace_events.lock().unwrap();
-        let room = TRACE_EVENT_CAP.saturating_sub(retained.len());
-        retained.extend(events.into_iter().take(room));
-    }
+    state.stats.absorb(metrics::take_local());
 }
 
 fn metrics_json(state: &State) -> Json {
@@ -774,15 +765,10 @@ fn metrics_json(state: &State) -> Json {
     let latency = stats.latency_us.lock().unwrap().clone();
     let by_route = stats.by_route.lock().unwrap().clone();
     let by_threads = stats.by_threads.lock().unwrap().clone();
-    let phases = stats.phases.lock().unwrap().clone();
-    let registry = stats.registry.lock().unwrap().clone();
-    let mut phase_pairs: Vec<(String, Json)> = Phase::ALL
-        .iter()
-        .map(|&p| (format!("{}_s", p.name()), Json::Float(phases.seconds(p))))
-        .collect();
-    for &c in Counter::ALL {
-        phase_pairs.push((c.name().to_string(), Json::UInt(phases.counter(c))));
-    }
+    let (phases, registry) = {
+        let ledger = stats.ledger.lock().unwrap();
+        (ledger.phases_json(), ledger.registry_json())
+    };
     let window = latency.window();
     let route_pairs: Vec<(String, Json)> = by_route
         .iter()
@@ -857,8 +843,8 @@ fn metrics_json(state: &State) -> Json {
                 ("epoch_len", Json::UInt(latency.epoch_len())),
             ]),
         ),
-        ("phases", Json::Obj(phase_pairs)),
-        ("registry", registry.to_json()),
+        ("phases", phases),
+        ("registry", registry),
     ])
 }
 
@@ -871,7 +857,6 @@ fn metrics_prom(state: &State) -> String {
     let latency = stats.latency_us.lock().unwrap().clone();
     let by_route = stats.by_route.lock().unwrap().clone();
     let by_threads = stats.by_threads.lock().unwrap().clone();
-    let phases = stats.phases.lock().unwrap().clone();
     let window = latency.window();
     let mut w = PromWriter::new();
     for ((route, outcome), n) in &by_route {
@@ -1002,12 +987,13 @@ fn metrics_prom(state: &State) -> String {
         &[],
         window.count as f64,
     );
-    for &p in Phase::ALL.iter() {
+    let ledger = stats.ledger.lock().unwrap();
+    for &p in Phase::ALL {
         w.gauge(
             "mcgp_phase_seconds",
             "Accumulated partitioner phase time.",
             &[("phase", p.name())],
-            phases.seconds(p),
+            ledger.seconds(p),
         );
     }
     for &c in Counter::ALL {
@@ -1015,8 +1001,9 @@ fn metrics_prom(state: &State) -> String {
             "mcgp_phase_ops_total",
             "Accumulated partitioner phase counters.",
             &[("counter", c.name())],
-            phases.counter(c),
+            ledger.counter(c),
         );
     }
+    drop(ledger);
     w.finish()
 }

@@ -899,3 +899,28 @@ fn daemon_default_threads_apply_when_the_request_does_not_pin() {
 
     stop(&handle, thread);
 }
+
+#[test]
+fn metrics_registry_is_populated_with_tracing_off() {
+    assert!(!mcgp_runtime::trace::enabled());
+    let graph = synthetic::type1(&mrng_like(1500, 7), 2, 7);
+    let (addr, handle, thread) = start_default();
+    let resp = post(&addr, "/partition?k=4", &metis_bytes(&graph));
+    assert_eq!(resp.status, 200, "{}", resp.text());
+
+    let doc = Json::parse(&get(&addr, "/metrics").text()).unwrap();
+    let registry = doc.get("registry").expect("registry section");
+    let counter = |name: &str| {
+        registry.get("counters").unwrap().get(name).unwrap().as_i64().unwrap()
+    };
+    let moves = counter("moves_committed");
+    assert!(moves > 0, "no refinement moves recorded: {registry}");
+    let gains = registry.get("histograms").unwrap().get("kway_gain").unwrap();
+    assert_eq!(gains.get("count").unwrap().as_i64(), Some(moves), "one gain per move");
+    let boundary = registry.get("gauges").unwrap().get("boundary_size").unwrap();
+    assert!(boundary.as_i64().unwrap() > 0, "{registry}");
+    let phases = doc.get("phases").expect("phases section");
+    assert_eq!(phases.get("moves_committed").unwrap().as_i64(), Some(moves));
+    assert!(phases.get("coarsen_s").unwrap().as_f64().unwrap() > 0.0);
+    stop(&handle, thread);
+}

@@ -4,7 +4,7 @@
 # BENCH_coarsen.json / BENCH_serve.json (one JSONL record per bench:
 # median/min/max wall seconds over $SAMPLES samples; serve rows add
 # p50/p99 latency and throughput) at the repo root, then validates each
-# file's schema with `mcgp bench-check`, and finally runs the
+# file's schema with `mcgp bench-gate` against itself, and finally runs the
 # `mcgp bench-gate` regression gate against the committed baselines
 # (non-fatal; GATE=off to skip, GATE=<ratio> to tune).
 #
@@ -34,18 +34,18 @@ done
 cargo build --release --offline -p mcgp-harness
 cargo bench --offline -p mcgp-bench --bench refine_boundary -- \
     --samples "$SAMPLES" "$@" > "$REFINE_OUT"
-./target/release/mcgp bench-check "$REFINE_OUT"
+./target/release/mcgp bench-gate "$REFINE_OUT" "$REFINE_OUT" > /dev/null
 echo "bench: wrote $REFINE_OUT"
 cargo bench --offline -p mcgp-bench --bench coarsen_smp -- \
     --samples "$SAMPLES" "$@" > "$COARSEN_OUT"
-./target/release/mcgp bench-check "$COARSEN_OUT"
+./target/release/mcgp bench-gate "$COARSEN_OUT" "$COARSEN_OUT" > /dev/null
 echo "bench: wrote $COARSEN_OUT"
 
 # Daemon load test: in-process server, mixed cold/warm client mix. The
 # cold/warm split is the hierarchy cache's headline number; the mixed row
 # carries throughput (rps). Not filterable — it is one self-contained run.
 ./target/release/mcgp bench serve > "$SERVE_OUT"
-./target/release/mcgp bench-check "$SERVE_OUT"
+./target/release/mcgp bench-gate "$SERVE_OUT" "$SERVE_OUT" > /dev/null
 echo "bench: wrote $SERVE_OUT"
 
 # Regression gate: fresh medians vs the pre-run snapshot of each
