@@ -15,6 +15,10 @@
 //!   recursive-bisection initial partitioning + parallel k-way
 //!   refinement), the row the `mcgp bench-gate --threads-win` rule
 //!   enforces `t2 ≤ t1` on.
+//! * `ingest/parse_metis`, `ingest/parse_json`, `ingest/validate` — the
+//!   input layer on the ncon-3 mesh: `read_metis` and `graph_from_json`
+//!   from an in-memory body to a validated `Graph`, and `Graph::validate`
+//!   alone (the share of both parses spent in `from_csr`).
 //! * `coarsen/smoke` — a small fast workload for the `verify.sh` bench
 //!   smoke (`--samples 3 smoke`).
 //!
@@ -33,6 +37,7 @@ use mcgp_core::config::MatchingScheme;
 use mcgp_core::matching::match_graph;
 use mcgp_core::{partition_kway, PartitionConfig};
 use mcgp_graph::generators::{mrng_like, rmat_default};
+use mcgp_graph::io::{graph_from_json, read_metis, write_metis};
 use mcgp_graph::synthetic;
 use mcgp_graph::Graph;
 use mcgp_runtime::rng::Rng;
@@ -123,6 +128,28 @@ fn bench_graph(b: &Bench, g: &Graph, tag: &str) {
     );
 }
 
+fn bench_ingest(b: &Bench, g: &Graph, tag: &str) {
+    let mut metis = Vec::new();
+    write_metis(g, &mut metis).expect("in-memory write");
+    b.run("ingest/parse_metis", tag, || {
+        read_metis(&metis).expect("valid body")
+    });
+    let json = format!(
+        r#"{{"ncon": {}, "xadj": {:?}, "adjncy": {:?}, "adjwgt": {:?}, "vwgt": {:?}}}"#,
+        g.ncon(),
+        g.xadj(),
+        g.adjncy(),
+        g.adjwgt(),
+        g.vwgt_flat(),
+    );
+    b.run("ingest/parse_json", tag, || {
+        graph_from_json(&json).expect("valid body")
+    });
+    b.run("ingest/validate", tag, || {
+        g.validate().expect("valid graph")
+    });
+}
+
 fn main() {
     let b = Bench::from_args();
 
@@ -130,6 +157,7 @@ fn main() {
     bench_graph(&b, &base, "mrng200k_ncon1");
     let g3 = synthetic::type1(&base, 3, 1);
     bench_graph(&b, &g3, "mrng200k_ncon3");
+    bench_ingest(&b, &g3, "mrng200k_ncon3");
 
     // Power-law contrast case: an R-MAT graph (2^16 vertices, skewed
     // degrees) stresses the matching arbiter and contraction slabs in ways

@@ -3,7 +3,10 @@
 //! Each entry is a named, deliberately-broken graph file together with the
 //! error class the reader must produce. The corpus backs both the
 //! `mcgp-check` regression tests and the CLI tests that `mcgp check` exits
-//! non-zero with a readable diagnostic on every one of them.
+//! non-zero with a readable diagnostic on every one of them. Files that are
+//! not UTF-8 live in their own byte table, and a third table lists
+//! byte-level spellings (CRLF, other separators, signed tokens) that must
+//! read exactly like their canonical form.
 
 /// Which [`mcgp_graph::McgpError`] variant a corpus entry must produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,6 +78,72 @@ pub const MALFORMED_GRAPHS: &[CorpusEntry] = &[
         ExpectedError::Overflow,
     ),
     ("huge ncon", "2 1 011 9999\n5 2 9\n7 1 9\n", ExpectedError::Overflow),
+    (
+        "vertex weight beyond i64",
+        "2 1 010\n9223372036854775808 2\n7 1\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "edge weight beyond i64",
+        "2 1 001\n2 -9223372036854775809\n1 1\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "NUL byte in a token",
+        "2 1\n2\u{0}\n1\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "NBSP as a separator",
+        "3 2\n2\u{a0}3\n1\n1\n",
+        ExpectedError::Parse,
+    ),
+];
+
+/// Malformed graph files that are not valid UTF-8, so they cannot be
+/// `&str` entries of [`MALFORMED_GRAPHS`]: `(name, bytes, expected error)`.
+pub const MALFORMED_GRAPH_BYTES: &[(&str, &[u8], ExpectedError)] = &[
+    (
+        "invalid UTF-8 in a token",
+        b"2 1\n2\xff\n1\n",
+        ExpectedError::Parse,
+    ),
+    (
+        "invalid UTF-8 between tokens",
+        b"3 2\n2 \xc3 3\n1\n1\n",
+        ExpectedError::Parse,
+    ),
+];
+
+/// Byte-level spellings the reader accepts: `(name, variant, canonical)`.
+/// Each variant must parse to the same graph as its LF- and
+/// space-separated canonical form.
+pub const EQUIVALENT_GRAPHS: &[(&str, &[u8], &str)] = &[
+    (
+        "CRLF line ends",
+        b"% comment\r\n3 2 001\r\n2 5 3 7\r\n1 5\r\n1 7\r\n",
+        "% comment\n3 2 001\n2 5 3 7\n1 5\n1 7\n",
+    ),
+    (
+        "tab separators",
+        b"3\t2\t001\n2\t5\t3 7\n\t1 5\t\n1\t\t7\n",
+        "3 2 001\n2 5 3 7\n1 5\n1 7\n",
+    ),
+    (
+        "vertical tab and form feed separators",
+        b"3\x0b2 001\n2\x0c5\x0b3 7\n1 5\x0c\n1 7\n",
+        "3 2 001\n2 5 3 7\n1 5\n1 7\n",
+    ),
+    (
+        "plus-signed tokens",
+        b"+3 +2 001\n+2 +5 +3 7\n1 +5\n+1 +7\n",
+        "3 2 001\n2 5 3 7\n1 5\n1 7\n",
+    ),
+    (
+        "plus-signed weights and leading zeros",
+        b"2 1 011 2\n+5 06 2 +9\n7 8 01 009\n",
+        "2 1 011 2\n5 6 2 9\n7 8 1 9\n",
+    ),
 ];
 
 /// Malformed `.part` files: `(name, contents)`. Each must be rejected by
@@ -93,23 +162,80 @@ mod tests {
     use mcgp_graph::io::{read_metis, read_partition_bounded};
     use mcgp_graph::McgpError;
 
+    /// The `(line, col)` every `Parse` entry of the graph corpora must
+    /// report. The entries that predate the byte scanner keep the
+    /// positions the line-based reader gave them.
+    const PARSE_POSITIONS: &[(&str, usize, usize)] = &[
+        ("empty file", 0, 0),
+        ("comments only", 0, 0),
+        ("header too short", 1, 0),
+        ("header too long", 1, 0),
+        ("non-numeric nvtxs", 1, 1),
+        ("non-numeric nedges", 1, 2),
+        ("malformed fmt digits", 1, 3),
+        ("non-numeric fmt", 1, 3),
+        ("vertex sizes unsupported", 1, 3),
+        ("zero ncon", 1, 4),
+        ("ncon without vwgt flag", 1, 4),
+        ("body missing", 1, 0),
+        ("header/body mismatch: too few vertex lines", 1, 0),
+        ("header/body mismatch: extra vertex line", 4, 0),
+        ("header/body mismatch: edge count", 1, 0),
+        ("non-numeric weight", 2, 1),
+        ("negative vertex weight", 2, 1),
+        ("missing vertex weight", 2, 3),
+        ("missing edge weight", 2, 1),
+        ("neighbor id zero", 2, 1),
+        ("huge neighbor id", 2, 1),
+        ("vertex weight beyond i64", 2, 1),
+        ("edge weight beyond i64", 2, 2),
+        ("NUL byte in a token", 2, 1),
+        ("NBSP as a separator", 2, 1),
+        ("invalid UTF-8 in a token", 2, 1),
+        ("invalid UTF-8 between tokens", 2, 2),
+    ];
+
+    fn check_entry(name: &str, bytes: &[u8], expected: ExpectedError) {
+        let err = read_metis(bytes)
+            .err()
+            .unwrap_or_else(|| panic!("corpus `{name}` was accepted"));
+        let ok = match expected {
+            ExpectedError::Parse => matches!(err, McgpError::Parse { .. }),
+            ExpectedError::Overflow => matches!(err, McgpError::Overflow { .. }),
+            ExpectedError::Structure => {
+                matches!(err, McgpError::Malformed(_) | McgpError::NotUndirected(_))
+            }
+        };
+        assert!(ok, "corpus `{name}`: expected {expected:?}, got {err:?}");
+        if let McgpError::Parse { line, col, .. } = err {
+            let &(_, want_line, want_col) = PARSE_POSITIONS
+                .iter()
+                .find(|(n, _, _)| *n == name)
+                .unwrap_or_else(|| panic!("corpus `{name}` has no pinned position"));
+            assert_eq!((line, col), (want_line, want_col), "corpus `{name}`");
+        }
+        // Every diagnostic renders to something readable.
+        assert!(!err.to_string().is_empty());
+    }
+
     #[test]
     fn every_graph_entry_is_rejected_with_its_typed_error() {
         for &(name, text, expected) in MALFORMED_GRAPHS {
-            let err = read_metis(text.as_bytes())
-                .err()
-                .unwrap_or_else(|| panic!("corpus `{name}` was accepted"));
-            let ok = match expected {
-                ExpectedError::Parse => matches!(err, McgpError::Parse { .. }),
-                ExpectedError::Overflow => matches!(err, McgpError::Overflow { .. }),
-                ExpectedError::Structure => matches!(
-                    err,
-                    McgpError::Malformed(_) | McgpError::NotUndirected(_)
-                ),
-            };
-            assert!(ok, "corpus `{name}`: expected {expected:?}, got {err:?}");
-            // Every diagnostic renders to something readable.
-            assert!(!err.to_string().is_empty());
+            check_entry(name, text.as_bytes(), expected);
+        }
+        for &(name, bytes, expected) in MALFORMED_GRAPH_BYTES {
+            check_entry(name, bytes, expected);
+        }
+    }
+
+    #[test]
+    fn equivalent_spellings_parse_to_the_canonical_graph() {
+        for &(name, variant, canonical) in EQUIVALENT_GRAPHS {
+            let want = read_metis(canonical.as_bytes())
+                .unwrap_or_else(|e| panic!("`{name}`: canonical form rejected: {e}"));
+            let got =
+                read_metis(variant).unwrap_or_else(|e| panic!("`{name}`: variant rejected: {e}"));
+            assert_eq!(got, want, "`{name}`");
         }
     }
 

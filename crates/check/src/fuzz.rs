@@ -2,12 +2,14 @@
 //!
 //! Rather than flipping random bytes, the fuzzer *knows the METIS grammar*:
 //! it writes a well-formed graph (or partition) file, then applies one of a
-//! fixed catalogue of grammar-level corruptions — truncate a vertex line,
-//! break edge symmetry, drop a weight token, inflate a neighbour id past
-//! `nvtxs`, scramble the header — and asserts the reader either returns a
-//! typed [`McgpError`] or (for corruptions the format genuinely tolerates,
-//! like deleting a trailing comment) a valid graph. What it must **never**
-//! do is panic: every case runs under `catch_unwind`.
+//! fixed catalogue of corruptions — grammar-level ones (truncate a vertex
+//! line, break edge symmetry, drop a weight token, inflate a neighbour id
+//! past `nvtxs`, scramble the header) and byte-level ones aimed at the
+//! byte scanner (invalid UTF-8, NUL, a stray `\r`, a cut inside a digit
+//! run, a 25-digit number) — and asserts the reader either returns a typed
+//! [`McgpError`] or (for corruptions the format genuinely tolerates, like
+//! deleting a trailing comment) a valid graph. What it must **never** do is
+//! panic: every case runs under `catch_unwind`.
 //!
 //! Everything is keyed off a single `u64` seed, so a failing case prints a
 //! reproduction seed and `mcgp fuzz --seed N --cases 1` replays it exactly.
@@ -19,7 +21,7 @@ use mcgp_graph::io::{read_metis, read_partition_bounded, write_metis};
 use mcgp_graph::synthetic;
 use mcgp_runtime::rng::Rng;
 
-/// The grammar-level corruptions the fuzzer draws from.
+/// The corruptions the fuzzer draws from.
 const MUTATIONS: &[&str] = &[
     "control(no corruption)",
     "truncate file mid-line",
@@ -35,6 +37,11 @@ const MUTATIONS: &[&str] = &[
     "append garbage line",
     "insert blank vertex line",
     "flip fmt digit",
+    "insert invalid UTF-8",
+    "insert NUL byte",
+    "insert stray carriage return",
+    "cut inside a digit run",
+    "replace token with 25-digit number",
 ];
 
 /// Outcome of one fuzz case.
@@ -87,7 +94,45 @@ fn render_graph(rng: &mut Rng) -> String {
 }
 
 /// Applies the mutation at `idx` (an index into [`MUTATIONS`]) to `text`.
-fn mutate(text: &str, idx: usize, rng: &mut Rng) -> String {
+fn mutate(text: &str, idx: usize, rng: &mut Rng) -> Vec<u8> {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = |rng: &mut Rng| rng.gen_range(0usize..text.len() + 1);
+    match MUTATIONS[idx] {
+        "insert invalid UTF-8" => {
+            let junk: &[u8] = rng
+                .choose(&[&b"\xff"[..], b"\xc3", b"\x80", b"\xe2\x82"])
+                .unwrap();
+            let at = at(rng);
+            bytes.splice(at..at, junk.iter().copied());
+            bytes
+        }
+        "insert NUL byte" => {
+            bytes.insert(at(rng), 0);
+            bytes
+        }
+        "insert stray carriage return" => {
+            bytes.insert(at(rng), b'\r');
+            bytes
+        }
+        "cut inside a digit run" => {
+            // Cut after a digit that another digit follows; anywhere when
+            // the text has no multi-digit number.
+            let inside: Vec<usize> = (1..bytes.len())
+                .filter(|&i| bytes[i - 1].is_ascii_digit() && bytes[i].is_ascii_digit())
+                .collect();
+            let cut = match rng.choose(&inside) {
+                Some(&i) => i,
+                None => at(rng),
+            };
+            bytes.truncate(cut);
+            bytes
+        }
+        _ => mutate_text(text, idx, rng).into_bytes(),
+    }
+}
+
+/// The grammar-level mutations, which work on lines and tokens.
+fn mutate_text(text: &str, idx: usize, rng: &mut Rng) -> String {
     let lines: Vec<&str> = text.lines().collect();
     let pick_line = |rng: &mut Rng| rng.gen_range(0usize..lines.len().max(1));
     match MUTATIONS[idx] {
@@ -177,6 +222,11 @@ fn mutate(text: &str, idx: usize, rng: &mut Rng) -> String {
                         toks[t] = format!("{}", 1_000_000_007u64 + rng.gen_range(0u64..1000));
                     }
                     "zero one token" => toks[t] = "0".to_string(),
+                    "replace token with 25-digit number" => {
+                        toks[t] = (0..25)
+                            .map(|i| char::from(b'0' + rng.gen_range(u8::from(i == 0)..10)))
+                            .collect();
+                    }
                     other => unreachable!("unknown mutation {other}"),
                 }
                 *line = toks.join(" ");
@@ -186,8 +236,8 @@ fn mutate(text: &str, idx: usize, rng: &mut Rng) -> String {
     }
 }
 
-fn run_reader_case(seed: u64, mutation: &'static str, text: String) -> FuzzCase {
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| read_metis(text.as_bytes())));
+fn run_reader_case(seed: u64, mutation: &'static str, text: Vec<u8>) -> FuzzCase {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| read_metis(&text)));
     match outcome {
         Ok(Ok(_)) => FuzzCase {
             seed,
@@ -250,7 +300,7 @@ pub fn fuzz_partition_case(seed: u64) -> FuzzCase {
     let mutation = MUTATIONS[idx];
     let mutated = mutate(&text, idx, &mut rng);
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        read_partition_bounded(mutated.as_bytes(), k)
+        read_partition_bounded(mutated.as_slice(), k)
     }));
     match outcome {
         Ok(Ok(_)) => FuzzCase {
@@ -310,6 +360,25 @@ mod tests {
         assert_eq!(a.mutation, b.mutation);
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.detail, b.detail);
+    }
+
+    #[test]
+    fn every_mutation_is_drawn_and_byte_mutations_reach_the_reader() {
+        let cases: Vec<FuzzCase> = (0..600).map(|s| fuzz_graph_case(0xB17E + s)).collect();
+        for &m in MUTATIONS {
+            assert!(cases.iter().any(|c| c.mutation == m), "`{m}` never drawn");
+        }
+        // Invalid UTF-8 reaches the byte scanner, which rejects it with a
+        // positioned parse error rather than an I/O error.
+        let utf8 = cases
+            .iter()
+            .filter(|c| c.mutation == "insert invalid UTF-8" && !c.accepted)
+            .collect::<Vec<_>>();
+        assert!(!utf8.is_empty());
+        assert!(
+            utf8.iter().all(|c| !c.detail.starts_with("i/o error")),
+            "{utf8:?}"
+        );
     }
 
     #[test]

@@ -20,9 +20,10 @@ use crate::{McgpError, Result};
 
 /// How much validation to run at each pipeline seam.
 ///
-/// `Cheap` covers every `O(|V| + |E|)` invariant; `Full` adds the
-/// superlinear ones (adjacency symmetry with matching reverse weights,
-/// duplicate-edge detection). Levels are ordered, so `level >= Cheap` tests
+/// `Cheap` covers the invariants that scan single arrays; `Full` adds
+/// the ones that relate entries to each other (adjacency symmetry with
+/// matching reverse weights, duplicate-edge detection), which also run in
+/// `O(|V| + |E|)` but cost a transpose. Levels are ordered, so `level >= Cheap` tests
 /// "any checking at all".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CheckLevel {
@@ -31,7 +32,7 @@ pub enum CheckLevel {
     Off,
     /// Linear-time checks: lengths, ranges, signs, conservation, coverage.
     Cheap,
-    /// Everything, including the `O(|E| log d)` symmetry check.
+    /// Everything, including the symmetry and duplicate-edge checks.
     Full,
 }
 

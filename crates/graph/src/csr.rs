@@ -206,43 +206,98 @@ impl Graph {
         Ok(self)
     }
 
-    /// Checks all structural invariants. `O(|E| log d)` due to the symmetry
-    /// check (binary search over sorted copies of each adjacency list).
+    /// Checks all structural invariants in `O(|V| + |E|)`.
+    ///
+    /// After [`Graph::validate_cheap`], one pass over the rows finds
+    /// duplicate neighbours with a dense per-row marker and counts, for
+    /// every vertex `u`, the edges `v → u` coming from a lower vertex
+    /// `v < u`. A counting-sort transpose then lists those edges by target,
+    /// and the marker matches each one against the reverse entry in row
+    /// `u`, weight included; one pass in row order does both. Every row
+    /// must also list exactly as many lower neighbours as it has matched
+    /// edges: with no duplicates, that makes the reverse pairing a
+    /// bijection, so the adjacency is symmetric with equal reverse weights.
+    /// The verdict does not depend on the order of any row.
+    ///
+    /// Transient memory: a `16`-byte marker and an `8`-byte offset per
+    /// vertex, plus `12` bytes per undirected edge for the transpose.
     pub fn validate(&self) -> Result<()> {
         self.validate_cheap()?;
-        // Symmetry with matching weights: build (u, wgt) sorted views lazily.
-        let mut sorted: Vec<Vec<(Vertex, i64)>> = Vec::with_capacity(self.nvtxs);
-        for v in 0..self.nvtxs {
-            let mut lst: Vec<(Vertex, i64)> = self.edges(v).collect();
-            lst.sort_unstable();
-            for w in lst.windows(2) {
-                if w[0].0 == w[1].0 {
-                    return Err(GraphError::Malformed(format!(
-                        "duplicate edge ({v}, {})",
-                        w[0].0
-                    )));
+        let n = self.nvtxs;
+        // `stamp[x] = (row, weight)`: the last row that listed `x`, and the
+        // weight it listed `x` with.
+        let mut stamp: Vec<(usize, i64)> = vec![(usize::MAX, 0); n];
+        // Counts of edges from lower vertices, turned into offsets below.
+        let mut tstart = vec![0usize; n + 1];
+        for v in 0..n {
+            for &u in self.neighbors(v) {
+                let seen = &mut stamp[u as usize].0;
+                if *seen == v {
+                    return Err(GraphError::Malformed(format!("duplicate edge ({v}, {u})")));
+                }
+                *seen = v;
+                if v < u as usize {
+                    tstart[u as usize + 1] += 1;
                 }
             }
-            sorted.push(lst);
         }
-        for v in 0..self.nvtxs {
-            for &(u, w) in &sorted[v] {
-                let back = &sorted[u as usize];
-                match back.binary_search_by_key(&(v as Vertex), |&(x, _)| x) {
-                    Ok(pos) if back[pos].1 == w => {}
-                    Ok(pos) => {
+        for u in 0..n {
+            tstart[u + 1] += tstart[u];
+        }
+        // One pass in row order both fills and checks the transpose: every
+        // edge into `u` from below comes from an earlier row, so transposed
+        // row `u` is complete when row `u` is reached. `tstart[x]` walks
+        // from the start of transposed row `x` to its end, which is where
+        // row `x + 1` starts. A source below `x` fits a `Vertex` because
+        // `x` does.
+        let mut tsrc: Vec<Vertex> = vec![0; tstart[n]];
+        let mut twgt: Vec<i64> = vec![0; tstart[n]];
+        stamp.fill((usize::MAX, 0));
+        let mut begin = 0;
+        for u in 0..n {
+            let mut lower = 0;
+            for (x, w) in self.edges(u) {
+                let x = x as usize;
+                if x < u {
+                    stamp[x] = (u, w);
+                    lower += 1;
+                } else {
+                    let slot = &mut tstart[x];
+                    tsrc[*slot] = u as Vertex;
+                    twgt[*slot] = w;
+                    *slot += 1;
+                }
+            }
+            let end = tstart[u];
+            for (&v, &w) in tsrc[begin..end].iter().zip(&twgt[begin..end]) {
+                match stamp[v as usize] {
+                    (row, back) if row == u && back == w => {}
+                    (row, back) if row == u => {
                         return Err(GraphError::NotUndirected(format!(
-                            "edge ({v},{u}) weight {w} != reverse weight {}",
-                            back[pos].1
+                            "edge ({v},{u}) weight {w} != reverse weight {back}"
                         )))
                     }
-                    Err(_) => {
+                    _ => {
                         return Err(GraphError::NotUndirected(format!(
                             "edge ({v},{u}) has no reverse edge"
                         )))
                     }
                 }
             }
+            if lower != end - begin {
+                // Every edge from below matched a distinct lower neighbour,
+                // so some lower neighbour was left without its reverse.
+                let matched = &tsrc[begin..end];
+                let x = self
+                    .neighbors(u)
+                    .iter()
+                    .find(|&&x| (x as usize) < u && !matched.contains(&x))
+                    .expect("an unmatched lower neighbour");
+                return Err(GraphError::NotUndirected(format!(
+                    "edge ({u},{x}) has no reverse edge"
+                )));
+            }
+            begin = end;
         }
         Ok(())
     }
@@ -258,12 +313,10 @@ impl Graph {
         if self.xadj[0] != 0 {
             return Err(GraphError::Malformed("xadj[0] != 0".into()));
         }
-        for v in 0..self.nvtxs {
-            if self.xadj[v] > self.xadj[v + 1] {
-                return Err(GraphError::Malformed(format!(
-                    "xadj decreasing at vertex {v}"
-                )));
-            }
+        if let Some(v) = self.xadj.windows(2).position(|w| w[0] > w[1]) {
+            return Err(GraphError::Malformed(format!(
+                "xadj decreasing at vertex {v}"
+            )));
         }
         let m = *self.xadj.last().unwrap();
         if self.adjncy.len() != m || self.adjwgt.len() != m {
@@ -274,15 +327,26 @@ impl Graph {
         if self.vwgt.len() != self.nvtxs * self.ncon {
             return Err(GraphError::Malformed("vwgt length != nvtxs * ncon".into()));
         }
-        if self.vwgt.iter().any(|&w| w < 0) {
+        // The scans below fold their whole range without branching, so
+        // they vectorise; a row's first offender is looked up only when
+        // the row fails.
+        if self.vwgt.iter().fold(0, |signs, &w| signs | w) < 0 {
             return Err(GraphError::Malformed("negative vertex weight".into()));
         }
-        if self.adjwgt.iter().any(|&w| w < 0) {
+        if self.adjwgt.iter().fold(0, |signs, &w| signs | w) < 0 {
             return Err(GraphError::Malformed("negative edge weight".into()));
         }
         for v in 0..self.nvtxs {
-            for &u in self.neighbors(v) {
-                if u as usize >= self.nvtxs {
+            let row = self.neighbors(v);
+            let n = self.nvtxs;
+            if !row
+                .iter()
+                .fold(false, |bad, &u| bad | (u as usize >= n) | (u as usize == v))
+            {
+                continue;
+            }
+            for &u in row {
+                if u as usize >= n {
                     return Err(GraphError::Malformed(format!(
                         "vertex {v} has out-of-range neighbor {u}"
                     )));
@@ -413,6 +477,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcgp_runtime::rng::Rng;
 
     fn triangle() -> Graph {
         let mut b = GraphBuilder::new(3);
@@ -490,6 +555,100 @@ mod tests {
     fn validate_rejects_negative_weights() {
         let err = Graph::from_csr(1, vec![0, 1, 2], vec![1, 0], vec![1, 1], vec![-1, 1]);
         assert!(matches!(err, Err(GraphError::Malformed(_))));
+    }
+
+    /// The defects `validate` must name, with the variant it names each by.
+    #[derive(Clone, Copy, Debug)]
+    enum Defect {
+        MissingReverse,
+        ReverseWeight,
+        Duplicate,
+        SelfLoop,
+    }
+
+    /// `g` relabelled at random, with every row's entries shuffled and
+    /// symmetric non-unit edge weights, as raw CSR arrays.
+    fn scrambled(g: &Graph, rng: &mut Rng) -> (Vec<usize>, Vec<Vertex>, Vec<i64>) {
+        let mut iperm: Vec<u32> = (0..g.nvtxs() as u32).collect();
+        rng.shuffle(&mut iperm);
+        let g = crate::permute::permute(g, &iperm);
+        let mut xadj = vec![0];
+        let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+        for v in 0..g.nvtxs() {
+            let mut row: Vec<(Vertex, i64)> = g
+                .neighbors(v)
+                .iter()
+                .map(|&u| (u, (v as i64 ^ i64::from(u)) % 7 + 1))
+                .collect();
+            rng.shuffle(&mut row);
+            adjncy.extend(row.iter().map(|e| e.0));
+            adjwgt.extend(row.iter().map(|e| e.1));
+            xadj.push(adjncy.len());
+        }
+        (xadj, adjncy, adjwgt)
+    }
+
+    #[test]
+    fn validate_ignores_row_order_and_names_every_defect() {
+        use crate::generators::{mrng_like, rmat_default};
+        for seed in 0..8u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let g = if seed % 2 == 0 {
+                mrng_like(300 + 50 * seed as usize, seed)
+            } else {
+                rmat_default(8, 4, seed)
+            };
+            let n = g.nvtxs();
+            for defect in [
+                None,
+                Some(Defect::MissingReverse),
+                Some(Defect::ReverseWeight),
+                Some(Defect::Duplicate),
+                Some(Defect::SelfLoop),
+            ] {
+                let (mut xadj, mut adjncy, mut adjwgt) = scrambled(&g, &mut rng);
+                // A vertex with two neighbours, so a duplicate can be made.
+                let v = loop {
+                    let v = rng.gen_range(0..n);
+                    if xadj[v + 1] - xadj[v] >= 2 {
+                        break v;
+                    }
+                };
+                let p = xadj[v] + rng.gen_range(0..xadj[v + 1] - xadj[v]);
+                match defect {
+                    None => {}
+                    Some(Defect::MissingReverse) => {
+                        adjncy.remove(p);
+                        adjwgt.remove(p);
+                        for x in &mut xadj[v + 1..] {
+                            *x -= 1;
+                        }
+                    }
+                    Some(Defect::ReverseWeight) => adjwgt[p] += 1,
+                    Some(Defect::Duplicate) => {
+                        let q = if p == xadj[v] { p + 1 } else { p - 1 };
+                        adjncy[p] = adjncy[q];
+                    }
+                    Some(Defect::SelfLoop) => adjncy[p] = v as Vertex,
+                }
+                let vwgt = vec![1; n];
+                let got = Graph::from_csr(1, xadj, adjncy, adjwgt, vwgt);
+                let case = format!("seed {seed}, {defect:?} at vertex {v}");
+                match defect {
+                    None => assert!(got.is_ok(), "{case}: {:?}", got.err()),
+                    Some(Defect::Duplicate) => {
+                        assert!(
+                            matches!(got, Err(GraphError::Malformed(_))),
+                            "{case}: {got:?}"
+                        )
+                    }
+                    Some(_) => assert!(
+                        matches!(got, Err(GraphError::NotUndirected(_))),
+                        "{case}: {got:?}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

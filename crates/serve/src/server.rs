@@ -43,9 +43,8 @@ use crate::protocol::{
 };
 use crate::signal;
 use mcgp_core::{HierarchySnapshot, PartitionConfig, PartitionResult};
-use mcgp_graph::check::check_graph;
 use mcgp_graph::io::{graph_from_json, read_metis};
-use mcgp_graph::{CheckLevel, McgpError};
+use mcgp_graph::McgpError;
 use mcgp_runtime::metrics::{self, Counter, Ledger, Phase, PromWriter, WindowedHistogram};
 use mcgp_runtime::net::{Conn, Limits, NetError, Request};
 use mcgp_runtime::profile::Profiler;
@@ -610,9 +609,9 @@ fn compute(
                     graph_from_json(text)?
                 }
             };
-            // The input layer's invariant catalogue, always at least Cheap
-            // regardless of build profile: the daemon trusts no client.
-            check_graph(&graph, CheckLevel::Cheap)?;
+            // Both readers end in `Graph::from_csr`, whose `validate()`
+            // has already run every Cheap check plus symmetry and
+            // duplicates: the daemon trusts no client, and checks once.
             let cfg = PartitionConfig {
                 seed: p.seed,
                 nthreads: p.nthreads,

@@ -4,7 +4,7 @@
 //! over the wire returns typed errors and never kills the daemon or
 //! poisons the cache).
 
-use mcgp_check::corpus::{ExpectedError, MALFORMED_GRAPHS};
+use mcgp_check::corpus::{ExpectedError, MALFORMED_GRAPHS, MALFORMED_GRAPH_BYTES};
 use mcgp_core::{partition_kway, PartitionConfig};
 use mcgp_graph::generators::mrng_like;
 use mcgp_graph::io::write_metis;
@@ -249,6 +249,23 @@ fn malformed_corpus_over_the_wire_yields_typed_errors_not_a_dead_daemon() {
     let ok = post(&addr, "/partition?k=2", &metis_bytes(&mrng_like(300, 1)));
     assert_eq!(ok.status, 200, "{}", ok.text());
 
+    stop(&handle, thread);
+}
+
+#[test]
+fn invalid_utf8_bodies_are_positioned_parse_errors() {
+    // The METIS reader scans bytes, so a body that is not UTF-8 fails the
+    // token it lands in: kind `parse` with a line and token, not `io`.
+    let (addr, handle, thread) = start_default();
+    for (label, bytes, _) in MALFORMED_GRAPH_BYTES {
+        let resp = post(&addr, "/partition?k=2", bytes);
+        assert_eq!(resp.status, 400, "{label}: {}", resp.text());
+        let doc = Json::parse(resp.text().trim()).unwrap();
+        assert_eq!(doc.get("kind").unwrap().as_str(), Some("parse"), "{label}");
+        let detail = doc.get("detail").unwrap().as_str().unwrap();
+        assert!(detail.contains("at line 2, token"), "{label}: {detail}");
+    }
+    assert_eq!(get(&addr, "/healthz").status, 200);
     stop(&handle, thread);
 }
 
